@@ -14,10 +14,13 @@
 
    A parallel DO loop's iterations are distributed round-robin over the
    configured processors; the region costs the maximum per-processor time
-   plus a barrier. *)
+   plus a barrier.
+
+   [run] first decodes every function into a run-ready form (see
+   "Decoded program" below), so the execution loop does no name lookups
+   and allocates nothing for timing or for scalar values. *)
 
 open Vpc_il
-open Isa
 
 exception Runtime_error of string
 
@@ -37,11 +40,19 @@ let default_config =
 
 type value = Vi of int | Vf of float
 
-let as_int = function Vi n -> n | Vf _ -> error "expected integer"
+let not_int () = error "expected integer"
+let as_int = function Vi n -> n | Vf _ -> not_int ()
 let as_float = function Vf f -> f | Vi n -> float_of_int n
 
-let wrap32 n =
+let[@inline] wrap32 n =
   (n land 0xFFFFFFFF) - (if n land 0x80000000 <> 0 then 1 lsl 32 else 0)
+
+let[@inline] sign8 n =
+  let b = n land 0xFF in
+  if b > 127 then b - 256 else b
+
+let[@inline] round_sp f = Int32.float_of_bits (Int32.bits_of_float f)
+let[@inline] imax (a : int) b = if a >= b then a else b
 
 (* ----------------------------------------------------------------- *)
 (* Global layout                                                     *)
@@ -53,7 +64,12 @@ type layout = {
   lprog : Prog.t;
 }
 
+(* The simulated address space: 4 MB, zero-filled, addresses below 16
+   reserved (null). *)
 let mem_size = 1 lsl 22
+
+(* Stack the backing store covers before its first growth. *)
+let initial_stack = 1 lsl 12
 
 let layout_globals (prog : Prog.t) : layout =
   let addr_of = Hashtbl.create 16 in
@@ -69,7 +85,7 @@ let layout_globals (prog : Prog.t) : layout =
   { addr_of; globals_top = !top; lprog = prog }
 
 (* ----------------------------------------------------------------- *)
-(* Machine state                                                     *)
+(* Metrics                                                           *)
 (* ----------------------------------------------------------------- *)
 
 type metrics = {
@@ -119,10 +135,135 @@ let mflops m ~clock_mhz =
   if m.cycles = 0 then 0.0
   else float_of_int m.fp_ops /. (float_of_int m.cycles /. (clock_mhz *. 1e6)) /. 1e6
 
+(* ----------------------------------------------------------------- *)
+(* Decoded program                                                   *)
+(* ----------------------------------------------------------------- *)
+
+(* A decoded instruction sits at the pc of its [Isa.inst], so error paths
+   can read the source (label names).  Every operand is a register
+   number: each distinct immediate of a function gets a register past
+   [Isa.func.nregs] that the frame template preloads and no instruction
+   writes.  Labels are resolved to pcs, callees to their decoded
+   function, memory types to an [mty], and costs to their
+   [Cost.op_cost]. *)
+
+(* A memory or conversion type, resolved from its [Ty.t]. *)
+type mty =
+  | M_char    (* 1 byte, sign-extended *)
+  | M_int     (* 4 bytes; a float converts by truncation *)
+  | M_ptr     (* Ptr/Func, 4 bytes; a float is an error *)
+  | M_float   (* IEEE single *)
+  | M_double  (* IEEE double *)
+  | M_void    (* converts as the identity; no load or store *)
+  | M_agg     (* array/struct: no conversion, load or store *)
+
+let mty_of : Ty.t -> mty = function
+  | Ty.Char -> M_char
+  | Ty.Int -> M_int
+  | Ty.Ptr _ | Ty.Func _ -> M_ptr
+  | Ty.Float -> M_float
+  | Ty.Double -> M_double
+  | Ty.Void -> M_void
+  | Ty.Array _ | Ty.Struct _ -> M_agg
+
+type dinst =
+  | Nop  (* a label: counted, no effect *)
+  | Prof of Isa.prof_event
+  | Vsaved of int
+  | Mov of int * int
+  | Ialu of Isa.ialu_op * Cost.op_cost * int * int * int
+  | Falu of Isa.falu_op * Cost.op_cost * bool * int * int * int
+      (* the bool rounds the result to single precision *)
+  | Fneg of bool * int * int
+  | Cvt_if of int * int
+  | Cvt_fi of int * int
+  | Cvt_ff of bool * int * int
+  | Load of { dst : int; addr : int; mty : mty; volatile : bool }
+  | Store of { src : int; addr : int; mty : mty; volatile : bool }
+  | Jump of int  (* target pc; -1 for an unknown label *)
+  | Branch_zero of int * int
+  | Branch_nonzero of int * int
+  | Call of { dst : int; callee : callee; args : int array }  (* dst -1: none *)
+  | Ret of int  (* -1: no value *)
+  | Vload of { dst : int; base : int; stride : int; len : int; mty : mty }
+  | Vstore of { src : int; base : int; stride : int; len : int; mty : mty }
+  | Vop of {
+      op : Isa.falu_op_or_int;
+      dst : int;
+      a : vsrc;
+      b : vsrc;
+      len : int;
+      single : bool;
+      flops : bool;  (* counts its elements as fp_ops *)
+    }
+  | Vneg of { dst : int; a : vsrc; len : int; single : bool; flops : bool }
+  | Viota of { dst : int; offset : int; scale : int; len : int }
+  | Vcvt of { dst : int; a : int; len : int; to_ : mty }
+  | Par_enter
+  | Par_iter
+  | Par_serial_end
+  | Par_exit
+  | Da_enter
+  | Post of int
+  | Wait of { chan : int; dist : int; cum : bool }
+
+and vsrc = Vr of int | Vscal of int
+
+and callee = Func of dfunc | Builtin of string
+
+and dfunc = {
+  fn : Isa.func;
+  params : param array;  (* one per [fn.param_ids] *)
+  mutable code : dinst array;
+  (* frame template: register kinds ('\001' = float), int and float
+     payloads — all zero but the immediates *)
+  mutable kinds0 : Bytes.t;
+  mutable ints0 : int array;
+  mutable floats0 : float array;
+}
+
+and param = P_slot of int * mty  (* frame offset *) | P_reg of int | P_unused
+
+(* ----------------------------------------------------------------- *)
+(* Machine state                                                     *)
+(* ----------------------------------------------------------------- *)
+
+(* Virtual times by (channel, iteration) in a doacross region: a row per
+   channel indexed by iteration + 1 (a post may precede the first
+   [Par_iter]), [not_posted] where nothing was recorded.  Virtual times
+   are never negative. *)
+type posts = { mutable rows : int array array }
+
+let not_posted = min_int
+
+let posts_find p chan iter =
+  let i = iter + 1 in
+  if chan < 0 || chan >= Array.length p.rows || i < 0 || i >= Array.length p.rows.(chan)
+  then not_posted
+  else p.rows.(chan).(i)
+
+let posts_set p chan iter v =
+  if chan < 0 then error "negative doacross channel %d" chan;
+  if chan >= Array.length p.rows then begin
+    let rows = Array.make (chan + 1) [||] in
+    Array.blit p.rows 0 rows 0 (Array.length p.rows);
+    p.rows <- rows
+  end;
+  let i = iter + 1 in
+  let row = p.rows.(chan) in
+  if i >= Array.length row then begin
+    let grown = Array.make (max (i + 1) (2 * Array.length row)) not_posted in
+    Array.blit row 0 grown 0 (Array.length row);
+    p.rows.(chan) <- grown
+  end;
+  p.rows.(chan).(i) <- v
+
 type state = {
-  program : Isa.program;
   config : config;
-  mem : Bytes.t;
+  sched : sched_mode;
+  (* backing store of the address space: zero-filled, [mem_size] long as
+     far as the program can tell, allocated only as far as it is used *)
+  mutable mem : Bytes.t;
   layout : layout;
   mutable stack_top : int;
   output : Buffer.t;
@@ -130,7 +271,7 @@ type state = {
   (* timing *)
   mutable clock : int;           (* current in-order issue front *)
   mutable saved : int;           (* cycles recovered by parallel regions *)
-  unit_free : (Cost.unit_, int) Hashtbl.t;
+  unit_free : int array;         (* per [Cost.unit_], see [unit_index] *)
   mutable last_store_done : int;
   mutable last_mem_done : int;   (* for volatile ordering *)
   (* parallel region bookkeeping *)
@@ -151,84 +292,195 @@ type state = {
   mutable da_iter_vstart : int;      (* virtual start of current iteration *)
   mutable da_iter_base : int;        (* real clock at its first instruction *)
   mutable da_stall : int;            (* virtual wait stalls, this iteration *)
-  da_posts : (int * int, int) Hashtbl.t;  (* (chan, iter) -> virtual time *)
-  da_post_pre : (int * int, int) Hashtbl.t;
+  da_posts : posts;  (* (chan, iter) -> virtual time *)
+  da_post_pre : posts;
       (* (chan, iter) -> max virtual post time over iterations <= iter:
          iterations run in order here, so each post extends a running
          prefix max — what a cumulative wait needs in O(1) *)
-  mutable insts_executed : int;
+  mutable fuel : int;  (* instructions left in the budget, markers included *)
+  mutable markers : int;  (* zero-cost markers executed *)
   mutable issued : int;  (* instructions issued, for the issue-width floor *)
   collect : Vpc_profile.Collect.t option;  (* profile collector, if any *)
+  (* scratch operands of vector instructions (broadcasts, conversions) *)
+  mutable scratch_f : float array array;
+  mutable scratch_i : int array array;
 }
 
+(* A vector register holds [n] elements, all floats or all integers. *)
+type vreg = {
+  mutable fl : bool;
+  mutable n : int;
+  mutable vi : int array;
+  mutable vf : float array;
+}
+
+(* Never written: [vreg_for_write] replaces it on a frame's first write. *)
+let empty_vreg = { fl = false; n = 0; vi = [||]; vf = [||] }
+
+(* Scalar registers are split by kind: a float register's payload is in
+   [floats], an integer's in [ints]. *)
 type frame = {
-  func : Isa.func;
-  regs : value array;
+  kinds : Bytes.t;
+  ints : int array;
+  floats : float array;
   ready : int array;             (* per-register ready time *)
-  vregs : value array array;
+  vregs : vreg array;
   vready : int array;
-  frame_base : int;
 }
 
-(* memory access *)
+let k_int = '\000'
+let k_float = '\001'
 
-let check st addr size =
-  if addr < 16 || addr + size > Bytes.length st.mem then
+let[@inline] reg_int fr r =
+  if Bytes.get fr.kinds r = k_int then Array.get fr.ints r else not_int ()
+
+let[@inline] reg_float fr r =
+  if Bytes.get fr.kinds r = k_int then float_of_int (Array.get fr.ints r)
+  else Array.get fr.floats r
+
+let[@inline] set_int fr r n ~ready =
+  Bytes.set fr.kinds r k_int;
+  Array.set fr.ints r n;
+  Array.set fr.ready r ready
+
+let[@inline] set_float fr r f ~ready =
+  Bytes.set fr.kinds r k_float;
+  Array.set fr.floats r f;
+  Array.set fr.ready r ready
+
+let reg_value fr r =
+  if Bytes.get fr.kinds r = k_int then Vi fr.ints.(r) else Vf fr.floats.(r)
+
+let set_value fr r v ~ready =
+  match v with Vi n -> set_int fr r n ~ready | Vf f -> set_float fr r f ~ready
+
+(* C truth of a register: an integer is nonzero in its low 32 bits, a
+   float iff it is not 0.0. *)
+let[@inline] reg_true fr r =
+  if Bytes.get fr.kinds r = k_int then fr.ints.(r) land 0xFFFFFFFF <> 0
+  else fr.floats.(r) <> 0.0
+
+(* ----------------------------------------------------------------- *)
+(* Memory                                                            *)
+(* ----------------------------------------------------------------- *)
+
+(* Widen the backing store, doubling, to cover [need] bytes.  The new
+   bytes are zero, as the address space always was. *)
+let grow st need =
+  let len = ref (Bytes.length st.mem) in
+  while !len < need do len := 2 * !len done;
+  let m = Bytes.make (min !len mem_size) '\000' in
+  Bytes.blit st.mem 0 m 0 (Bytes.length st.mem);
+  st.mem <- m
+
+let out_of_range st addr size =
+  if addr < 16 || addr > mem_size - size then
     error "memory access out of bounds at %d" addr
+  else grow st (addr + size)
 
-let load_mem st ty addr : value =
-  match ty with
-  | Ty.Char ->
-      check st addr 1;
-      let b = Char.code (Bytes.get st.mem addr) in
-      Vi (if b > 127 then b - 256 else b)
-  | Ty.Int | Ty.Ptr _ | Ty.Func _ ->
-      check st addr 4;
-      Vi (Int32.to_int (Bytes.get_int32_le st.mem addr))
-  | Ty.Float ->
-      check st addr 4;
-      Vf (Int32.float_of_bits (Bytes.get_int32_le st.mem addr))
-  | Ty.Double ->
-      check st addr 8;
-      Vf (Int64.float_of_bits (Bytes.get_int64_le st.mem addr))
-  | Ty.Void | Ty.Array _ | Ty.Struct _ -> error "bad load type"
+(* [addr] is a program value: compared so that no sum can overflow *)
+let[@inline] check st addr size =
+  if addr < 16 || addr > Bytes.length st.mem - size then out_of_range st addr size
 
-let store_mem st ty addr (v : value) =
-  match ty with
-  | Ty.Char ->
+(* Load into register [dst].  Each case writes the register itself, so
+   a loaded float is never boxed. *)
+let[@inline] load_reg st fr mty addr dst ~ready =
+  match mty with
+  | M_char ->
       check st addr 1;
-      Bytes.set st.mem addr (Char.chr (as_int v land 0xFF))
-  | Ty.Int | Ty.Ptr _ | Ty.Func _ ->
+      set_int fr dst (sign8 (Char.code (Bytes.get st.mem addr))) ~ready
+  | M_int | M_ptr ->
       check st addr 4;
-      Bytes.set_int32_le st.mem addr (Int32.of_int (as_int v))
-  | Ty.Float ->
+      set_int fr dst (Int32.to_int (Bytes.get_int32_le st.mem addr)) ~ready
+  | M_float ->
       check st addr 4;
-      Bytes.set_int32_le st.mem addr (Int32.bits_of_float (as_float v))
-  | Ty.Double ->
+      set_float fr dst (Int32.float_of_bits (Bytes.get_int32_le st.mem addr)) ~ready
+  | M_double ->
       check st addr 8;
-      Bytes.set_int64_le st.mem addr (Int64.bits_of_float (as_float v))
-  | Ty.Void | Ty.Array _ | Ty.Struct _ -> error "bad store type"
+      set_float fr dst (Int64.float_of_bits (Bytes.get_int64_le st.mem addr)) ~ready
+  | M_void | M_agg -> error "bad load type"
+
+let store_int st mty addr n =
+  match mty with
+  | M_char ->
+      check st addr 1;
+      Bytes.set st.mem addr (Char.unsafe_chr (n land 0xFF))
+  | M_int | M_ptr ->
+      check st addr 4;
+      Bytes.set_int32_le st.mem addr (Int32.of_int n)
+  | M_float | M_double | M_void | M_agg -> error "bad store type"
+
+(* Rounding to single is part of [Int32.bits_of_float], so an [M_float]
+   store needs no separate conversion. *)
+let[@inline] store_float st mty addr f =
+  match mty with
+  | M_float ->
+      check st addr 4;
+      Bytes.set_int32_le st.mem addr (Int32.bits_of_float f)
+  | M_double ->
+      check st addr 8;
+      Bytes.set_int64_le st.mem addr (Int64.bits_of_float f)
+  | M_char | M_int | M_ptr | M_void | M_agg -> error "bad store type"
+
+(* A store to [M_void] or [M_agg]: what the conversion, or else the store
+   itself, rejects. *)
+let bad_store = function
+  | M_agg -> error "bad conversion"
+  | _ -> error "bad store type"
+
+(* Store an already-converted value. *)
+let store_mem st mty addr (v : value) =
+  match mty with
+  | M_float | M_double -> store_float st mty addr (as_float v)
+  | M_char | M_int | M_ptr -> store_int st mty addr (as_int v)
+  | M_void | M_agg -> bad_store mty
+
+(* C conversion of an integer or a float to an integer type ([M_void]
+   converts as the identity). *)
+let int_to_int mty n =
+  match mty with
+  | M_char -> sign8 n
+  | M_int -> wrap32 n
+  | M_ptr | M_void -> n
+  | M_float | M_double | M_agg -> assert false
+
+let[@inline] float_to_int mty f =
+  match mty with
+  | M_int -> wrap32 (int_of_float f)
+  | M_char | M_ptr -> not_int ()
+  | M_float | M_double | M_void | M_agg -> assert false
 
 let convert ty (v : value) : value =
-  match ty with
-  | Ty.Char ->
-      let b = as_int v land 0xFF in
-      Vi (if b > 127 then b - 256 else b)
-  | Ty.Int -> Vi (wrap32 (match v with Vi n -> n | Vf f -> int_of_float f))
-  | Ty.Ptr _ | Ty.Func _ -> Vi (as_int v)
-  | Ty.Float -> Vf (Int32.float_of_bits (Int32.bits_of_float (as_float v)))
-  | Ty.Double -> Vf (as_float v)
-  | Ty.Void -> v
-  | Ty.Array _ | Ty.Struct _ -> error "bad conversion"
+  let mty = mty_of ty in
+  match mty, v with
+  | M_agg, _ -> error "bad conversion"
+  | M_void, _ -> v
+  | M_float, _ -> Vf (round_sp (as_float v))
+  | M_double, _ -> Vf (as_float v)
+  | (M_char | M_int | M_ptr), Vi n -> Vi (int_to_int mty n)
+  | (M_char | M_int | M_ptr), Vf f -> Vi (float_to_int mty f)
+
+(* Store register [r] of [fr], converted to [mty], at [addr]. *)
+let store_reg st fr mty ~addr r =
+  match mty with
+  | M_float | M_double -> store_float st mty addr (reg_float fr r)
+  | M_char | M_int | M_ptr ->
+      store_int st mty addr
+        (if Bytes.get fr.kinds r = k_int then int_to_int mty fr.ints.(r)
+         else float_to_int mty fr.floats.(r))
+  | M_void | M_agg -> bad_store mty
 
 (* ----------------------------------------------------------------- *)
 (* Timing                                                            *)
 (* ----------------------------------------------------------------- *)
 
-let unit_free st u =
-  Option.value (Hashtbl.find_opt st.unit_free u) ~default:0
+let[@inline] unit_index : Cost.unit_ -> int = function
+  | Cost.IU -> 0
+  | Cost.FPU -> 1
+  | Cost.MEM -> 2
+  | Cost.CTRL -> 3
 
-let add_busy st (u : Cost.unit_) n =
+let[@inline] add_busy st (u : Cost.unit_) n =
   match u with
   | Cost.IU -> st.metrics.busy_iu <- st.metrics.busy_iu + n
   | Cost.FPU -> st.metrics.busy_fpu <- st.metrics.busy_fpu + n
@@ -244,17 +496,17 @@ let add_busy st (u : Cost.unit_) n =
    dataflow-limited: the compiler's dependence graph licensed the
    scheduler to reorder freely, so an operation waits only for its inputs
    and its unit — the model of a perfectly list-scheduled loop (§6). *)
-let issue st (cost : Cost.op_cost) ~ops_ready : int =
+let[@inline] issue st (cost : Cost.op_cost) ~ops_ready : int =
   add_busy st cost.Cost.unit_ cost.Cost.issue;
-  match st.config.sched with
+  match st.sched with
   | Sequential ->
-      let start = max st.clock ops_ready in
-      let done_ = start + cost.Cost.latency in
+      let done_ = imax st.clock ops_ready + cost.Cost.latency in
       st.clock <- done_;
       done_
   | Overlap_conservative ->
-      let start = max (max st.clock (unit_free st cost.Cost.unit_)) ops_ready in
-      Hashtbl.replace st.unit_free cost.Cost.unit_ (start + cost.Cost.issue);
+      let u = unit_index cost.Cost.unit_ in
+      let start = imax (imax st.clock st.unit_free.(u)) ops_ready in
+      st.unit_free.(u) <- start + cost.Cost.issue;
       st.clock <- start;  (* in-order issue: next op cannot start earlier *)
       start + cost.Cost.latency
   | Overlap_full ->
@@ -265,53 +517,51 @@ let issue st (cost : Cost.op_cost) ~ops_ready : int =
       st.issued <- st.issued + 1;
       let start =
         match cost.Cost.unit_ with
-        | Cost.MEM -> max (max (unit_free st Cost.MEM) ops_ready) slot
-        | Cost.IU | Cost.FPU | Cost.CTRL -> max ops_ready slot
+        | Cost.MEM ->
+            let u = unit_index Cost.MEM in
+            let start = imax (imax st.unit_free.(u) ops_ready) slot in
+            st.unit_free.(u) <- start + cost.Cost.issue;
+            start
+        | Cost.IU | Cost.FPU | Cost.CTRL -> imax ops_ready slot
       in
-      if cost.Cost.unit_ = Cost.MEM then
-        Hashtbl.replace st.unit_free Cost.MEM (start + cost.Cost.issue);
-      st.clock <- max st.clock (start + cost.Cost.latency);
-      start + cost.Cost.latency
+      let done_ = start + cost.Cost.latency in
+      st.clock <- imax st.clock done_;
+      done_
 
 (* A vector operation occupies its unit for startup + len cycles. *)
 let issue_vector st ~unit_ ~startup ~len ~ops_ready : int =
   let busy = startup + len in
   add_busy st unit_ busy;
-  match st.config.sched with
+  let u = unit_index unit_ in
+  match st.sched with
   | Sequential ->
-      let start = max st.clock ops_ready in
-      let done_ = start + busy in
+      let done_ = imax st.clock ops_ready + busy in
       st.clock <- done_;
       done_
   | Overlap_conservative ->
-      let start = max (max st.clock (unit_free st unit_)) ops_ready in
-      Hashtbl.replace st.unit_free unit_ (start + busy);
+      let start = imax (imax st.clock st.unit_free.(u)) ops_ready in
+      st.unit_free.(u) <- start + busy;
       st.clock <- start;
       start + busy
   | Overlap_full ->
-      let start = max (unit_free st unit_) ops_ready in
-      Hashtbl.replace st.unit_free unit_ (start + busy);
-      st.clock <- max st.clock (start + busy);
-      start + busy
+      let done_ = imax st.unit_free.(u) ops_ready + busy in
+      st.unit_free.(u) <- done_;
+      st.clock <- imax st.clock done_;
+      done_
 
 (* A control transfer serializes issue, except under full
    dependence-driven scheduling where the compiler has already proven the
    loop's operations independent and the scheduler overlaps across the
    loop-closing branch (§6: "completely overlap the integer and floating
    point instructions in the loop"). *)
-let issue_branch st ~ops_ready =
-  match st.config.sched with
+let[@inline] issue_branch st ~ops_ready =
+  match st.sched with
   | Overlap_full ->
       let slot = st.issued / 4 in
       st.issued <- st.issued + 1;
-      let start = max ops_ready slot in
-      st.clock <- max st.clock (start + Cost.branch.Cost.latency);
-      start + Cost.branch.Cost.latency
+      st.clock <- imax st.clock (imax ops_ready slot + Cost.branch.Cost.latency)
   | Sequential | Overlap_conservative ->
-      let start = max st.clock ops_ready in
-      let done_ = start + Cost.branch.Cost.latency in
-      st.clock <- done_;
-      done_
+      st.clock <- imax st.clock ops_ready + Cost.branch.Cost.latency
 
 (* ----------------------------------------------------------------- *)
 (* Builtins                                                          *)
@@ -417,10 +667,242 @@ let builtin st name (args : value list) : value option =
   | _ -> None
 
 (* ----------------------------------------------------------------- *)
+(* Decoding                                                          *)
+(* ----------------------------------------------------------------- *)
+
+(* Decode [df.fn]'s code and build its frame template: immediates
+   become preloaded registers, labels pcs, callee names [lookup]ed. *)
+let decode_code ~lookup (df : dfunc) =
+  let f = df.fn in
+  let nregs = max f.Isa.nregs 1 in
+  let consts = ref [] and nconsts = ref 0 in
+  let ints = Hashtbl.create 8 and floats = Hashtbl.create 8 in
+  let const tbl key v =
+    match Hashtbl.find_opt tbl key with
+    | Some r -> r
+    | None ->
+        let r = nregs + !nconsts in
+        consts := v :: !consts;
+        incr nconsts;
+        Hashtbl.replace tbl key r;
+        r
+  in
+  let op : Isa.operand -> int = function
+    | Isa.Reg r -> r
+    | Isa.Imm_int n -> const ints n (Vi n)
+    (* keyed by bits: 0.0 and -0.0 are distinct constants *)
+    | Isa.Imm_float x -> const floats (Int64.bits_of_float x) (Vf x)
+  in
+  let vsrc : Isa.vsrc -> vsrc = function
+    | Isa.Vr v -> Vr v
+    | Isa.Vscal o -> Vscal (op o)
+  in
+  let pc_of l = Option.value (Hashtbl.find_opt f.Isa.labels l) ~default:(-1) in
+  let single ty = ty = Ty.Float in
+  let decode : Isa.inst -> dinst = function
+    | Isa.Label_def _ -> Nop
+    | Isa.Prof ev -> Prof ev
+    | Isa.Vsaved { len } -> Vsaved (op len)
+    | Isa.Imov (d, s) -> Mov (d, op s)
+    | Isa.Ialu (o, d, a, b) ->
+        let cost =
+          match o with
+          | Isa.Imul -> Cost.imul
+          | Isa.Idiv | Isa.Irem -> Cost.idiv
+          | _ -> Cost.ialu
+        in
+        Ialu (o, cost, d, op a, op b)
+    | Isa.Falu (o, d, a, b, ty) ->
+        let cost =
+          match o with
+          | Isa.Fdiv -> Cost.fdiv
+          | Isa.Fmul -> Cost.fmul
+          | _ -> Cost.falu
+        in
+        Falu (o, cost, single ty, d, op a, op b)
+    | Isa.Fneg (d, a, ty) -> Fneg (single ty, d, op a)
+    | Isa.Cvt_if (d, a) -> Cvt_if (d, op a)
+    | Isa.Cvt_fi (d, a) -> Cvt_fi (d, op a)
+    | Isa.Cvt_ff (d, a, ty) -> Cvt_ff (single ty, d, op a)
+    | Isa.Load { dst; addr; ty; volatile } ->
+        Load { dst; addr = op addr; mty = mty_of ty; volatile }
+    | Isa.Store { src; addr; ty; volatile } ->
+        Store { src = op src; addr = op addr; mty = mty_of ty; volatile }
+    | Isa.Jump l -> Jump (pc_of l)
+    | Isa.Branch_zero (o, l) -> Branch_zero (op o, pc_of l)
+    | Isa.Branch_nonzero (o, l) -> Branch_nonzero (op o, pc_of l)
+    | Isa.Call { dst; name; args } ->
+        Call
+          {
+            dst = Option.value dst ~default:(-1);
+            callee = lookup name;
+            args = Array.of_list (List.map op args);
+          }
+    | Isa.Ret o -> Ret (match o with Some o -> op o | None -> -1)
+    | Isa.Vload { dst; base; stride; len; ty } ->
+        Vload { dst; base = op base; stride = op stride; len = op len; mty = mty_of ty }
+    | Isa.Vstore { src; base; stride; len; ty } ->
+        Vstore { src; base = op base; stride = op stride; len = op len; mty = mty_of ty }
+    | Isa.Vop { op = o; dst; a; b; len; ty } ->
+        Vop
+          {
+            op = o;
+            dst;
+            a = vsrc a;
+            b = vsrc b;
+            len = op len;
+            single = single ty;
+            flops = Ty.is_float ty;
+          }
+    | Isa.Vneg { dst; a; len; ty } ->
+        Vneg { dst; a = vsrc a; len = op len; single = single ty; flops = Ty.is_float ty }
+    | Isa.Viota { dst; offset; scale; len } ->
+        Viota { dst; offset = op offset; scale = op scale; len = op len }
+    | Isa.Vcvt { dst; a; len; to_ } -> Vcvt { dst; a; len = op len; to_ = mty_of to_ }
+    | Isa.Par_enter -> Par_enter
+    | Isa.Par_iter -> Par_iter
+    | Isa.Par_serial_end -> Par_serial_end
+    | Isa.Par_exit -> Par_exit
+    | Isa.Da_enter -> Da_enter
+    | Isa.Post { chan } -> Post chan
+    | Isa.Wait { chan; dist; cum } -> Wait { chan; dist; cum }
+  in
+  df.code <- Array.map decode f.Isa.code;
+  let total = nregs + !nconsts in
+  df.kinds0 <- Bytes.make total k_int;
+  df.ints0 <- Array.make total 0;
+  df.floats0 <- Array.make total 0.0;
+  List.iteri
+    (fun i v ->
+      let r = total - 1 - i in
+      match v with
+      | Vi n -> df.ints0.(r) <- n
+      | Vf x ->
+          Bytes.set df.kinds0 r k_float;
+          df.floats0.(r) <- x)
+    !consts
+
+(* Decode every function of [program]; returns the callee of a name. *)
+let decode (program : Isa.program) : string -> callee =
+  let param_mty id =
+    match Prog.find_var program.Isa.prog None id with
+    | Some v -> mty_of v.Var.ty
+    | None -> M_int
+  in
+  let funcs = Hashtbl.create (Hashtbl.length program.Isa.funcs) in
+  Hashtbl.iter
+    (fun name (f : Isa.func) ->
+      let param id =
+        match Hashtbl.find_opt f.Isa.frame_offset id with
+        | Some off -> P_slot (off, param_mty id)
+        | None -> (
+            match Hashtbl.find_opt f.Isa.reg_of_var id with
+            | Some r -> P_reg r
+            | None -> P_unused)
+      in
+      Hashtbl.replace funcs name
+        {
+          fn = f;
+          params = Array.of_list (List.map param f.Isa.param_ids);
+          code = [||];
+          kinds0 = Bytes.empty;
+          ints0 = [||];
+          floats0 = [||];
+        })
+    program.Isa.funcs;
+  let lookup name =
+    match Hashtbl.find_opt funcs name with
+    | Some df -> Func df
+    | None -> Builtin name
+  in
+  Hashtbl.iter (fun _ df -> decode_code ~lookup df) funcs;
+  lookup
+
+(* ----------------------------------------------------------------- *)
+(* Vector registers                                                  *)
+(* ----------------------------------------------------------------- *)
+
+let vreg_for_write fr v =
+  let r = fr.vregs.(v) in
+  if r != empty_vreg then r
+  else begin
+    let r = { fl = false; n = 0; vi = [||]; vf = [||] } in
+    fr.vregs.(v) <- r;
+    r
+  end
+
+(* The payload array of a register about to receive [n] elements.
+   Growing replaces the array, so a view of the same register taken
+   before stays intact. *)
+let vf_cap r n =
+  if Array.length r.vf < n then r.vf <- Array.make (imax n (2 * Array.length r.vf)) 0.0;
+  r.vf
+
+let vi_cap r n =
+  if Array.length r.vi < n then r.vi <- Array.make (imax n (2 * Array.length r.vi)) 0;
+  r.vi
+
+let vlen n = if n < 0 then error "negative vector length %d" n else n
+
+let short_operand () = error "vector register shorter than operand"
+
+(* Scratch operand [k] (0 or 1) of at least [n] elements. *)
+let scratch_f st k n =
+  if Array.length st.scratch_f.(k) < n then st.scratch_f.(k) <- Array.make n 0.0;
+  st.scratch_f.(k)
+
+let scratch_i st k n =
+  if Array.length st.scratch_i.(k) < n then st.scratch_i.(k) <- Array.make n 0;
+  st.scratch_i.(k)
+
+(* The first [n] elements of a vector source as floats: an element past
+   a register's length reads 0, a scalar is broadcast.  A float register
+   long enough is used in place; anything else lands in scratch [k]. *)
+let float_view st fr k src n : float array =
+  match src with
+  | Vr v ->
+      let r = fr.vregs.(v) in
+      if r.fl && r.n >= n then r.vf
+      else begin
+        let out = scratch_f st k n in
+        for i = 0 to n - 1 do
+          out.(i) <-
+            (if i >= r.n then 0.0
+             else if r.fl then r.vf.(i)
+             else float_of_int r.vi.(i))
+        done;
+        out
+      end
+  | Vscal s ->
+      let out = scratch_f st k n in
+      Array.fill out 0 n (reg_float fr s);
+      out
+
+(* The same as integers; a float element is an error. *)
+let int_view st fr k src n : int array =
+  match src with
+  | Vr v ->
+      let r = fr.vregs.(v) in
+      if (not r.fl) && r.n >= n then r.vi
+      else begin
+        let out = scratch_i st k n in
+        for i = 0 to n - 1 do
+          out.(i) <- (if i >= r.n then 0 else if r.fl then not_int () else r.vi.(i))
+        done;
+        out
+      end
+  | Vscal s ->
+      let out = scratch_i st k n in
+      if n > 0 then Array.fill out 0 n (reg_int fr s);
+      out
+
+let vsrc_ready fr = function Vr v -> fr.vready.(v) | Vscal s -> fr.ready.(s)
+
+(* ----------------------------------------------------------------- *)
 (* Execution                                                         *)
 (* ----------------------------------------------------------------- *)
 
-let eval_ialu op x y =
+let[@inline] eval_ialu (op : Isa.ialu_op) x y =
   let bool_ b = if b then 1 else 0 in
   match op with
   | Iadd -> wrap32 (x + y)
@@ -449,411 +931,491 @@ let eval_ialu op x y =
   | Icmp_ge -> bool_ (x >= y)
   | Inot -> wrap32 (lnot x)
 
-let round_sp (v : value) =
-  match v with
-  | Vf f -> Vf (Int32.float_of_bits (Int32.bits_of_float f))
-  | Vi _ -> v
-
-let eval_falu op x y =
+(* A floating-point ALU op: arithmetic yields a float, a comparison the
+   integer 0 or 1. *)
+let is_compare (op : Isa.falu_op) =
   match op with
-  | Fadd -> Vf (x +. y)
-  | Fsub -> Vf (x -. y)
-  | Fmul -> Vf (x *. y)
-  | Fdiv -> Vf (x /. y)
-  | Fcmp_eq -> Vi (if x = y then 1 else 0)
-  | Fcmp_ne -> Vi (if x <> y then 1 else 0)
-  | Fcmp_lt -> Vi (if x < y then 1 else 0)
-  | Fcmp_le -> Vi (if x <= y then 1 else 0)
-  | Fcmp_gt -> Vi (if x > y then 1 else 0)
-  | Fcmp_ge -> Vi (if x >= y then 1 else 0)
+  | Fcmp_eq | Fcmp_ne | Fcmp_lt | Fcmp_le | Fcmp_gt | Fcmp_ge -> true
+  | Fadd | Fsub | Fmul | Fdiv -> false
 
-let rec run_function st (fname : string) (args : value list) : value * int =
-  match Hashtbl.find_opt st.program.Isa.funcs fname with
-  | Some f -> run_func st f args
-  | None -> (
-      match builtin st fname args with
-      | Some v -> (v, st.clock)
-      | None -> error "undefined function %s" fname)
+let[@inline] farith (op : Isa.falu_op) (x : float) y =
+  match op with
+  | Fadd -> x +. y
+  | Fsub -> x -. y
+  | Fmul -> x *. y
+  | Fdiv -> x /. y
+  | Fcmp_eq | Fcmp_ne | Fcmp_lt | Fcmp_le | Fcmp_gt | Fcmp_ge -> assert false
 
-and run_func st (f : Isa.func) (args : value list) : value * int =
-  let saved_stack = st.stack_top in
-  let frame_base = (st.stack_top + 7) / 8 * 8 in
-  st.stack_top <- frame_base + f.frame_size;
-  if st.stack_top > Bytes.length st.mem then error "stack overflow";
+let[@inline] fcompare (op : Isa.falu_op) (x : float) y =
+  let b =
+    match op with
+    | Fcmp_eq -> x = y
+    | Fcmp_ne -> x <> y
+    | Fcmp_lt -> x < y
+    | Fcmp_le -> x <= y
+    | Fcmp_gt -> x > y
+    | Fcmp_ge -> x >= y
+    | Fadd | Fsub | Fmul | Fdiv -> assert false
+  in
+  if b then 1 else 0
+
+(* Element loop of a vector floating-point arithmetic op. *)
+let vfarith (op : Isa.falu_op) ~single (x : float array) (y : float array)
+    (out : float array) n =
+  (match op with
+  | Fadd -> for i = 0 to n - 1 do out.(i) <- x.(i) +. y.(i) done
+  | Fsub -> for i = 0 to n - 1 do out.(i) <- x.(i) -. y.(i) done
+  | Fmul -> for i = 0 to n - 1 do out.(i) <- x.(i) *. y.(i) done
+  | Fdiv -> for i = 0 to n - 1 do out.(i) <- x.(i) /. y.(i) done
+  | Fcmp_eq | Fcmp_ne | Fcmp_lt | Fcmp_le | Fcmp_gt | Fcmp_ge -> assert false);
+  if single then for i = 0 to n - 1 do out.(i) <- round_sp out.(i) done
+
+let new_frame (df : dfunc) ~frame_base =
+  let nv = max df.fn.Isa.nvregs 1 in
   let fr =
     {
-      func = f;
-      regs = Array.make (max f.nregs 1) (Vi 0);
-      ready = Array.make (max f.nregs 1) 0;
-      vregs = Array.make (max f.nvregs 1) [||];
-      vready = Array.make (max f.nvregs 1) 0;
-      frame_base;
+      kinds = Bytes.copy df.kinds0;
+      ints = Array.copy df.ints0;
+      floats = Array.copy df.floats0;
+      ready = Array.make (Array.length df.ints0) 0;
+      vregs = Array.make nv empty_vreg;
+      vready = Array.make nv 0;
     }
   in
-  fr.regs.(0) <- Vi frame_base;
-  (* bind parameters *)
-  (try
-     List.iter2
-       (fun id arg ->
-         match Hashtbl.find_opt f.frame_offset id with
-         | Some off ->
-             let v = param_ty st f id in
-             store_mem st v (frame_base + off) (convert v arg)
-         | None -> (
-             match Hashtbl.find_opt f.reg_of_var id with
-             | Some r -> fr.regs.(r) <- arg
-             | None -> ()  (* unused parameter *)))
-       f.param_ids args
-   with Invalid_argument _ -> error "arity mismatch calling %s" f.fn_name);
-  let result = exec st fr in
-  st.stack_top <- saved_stack;
-  result
-
-and param_ty st (f : Isa.func) id =
-  match Prog.find_var st.program.Isa.prog None id with
-  | Some v -> v.Var.ty
-  | None -> (
-      match
-        List.find_map
-          (fun (fn : Func.t) ->
-            if fn.Func.name = f.fn_name then Func.find_var fn id else None)
-          st.program.Isa.prog.Prog.funcs
-      with
-      | Some v -> v.Var.ty
-      | None -> Ty.Int)
-
-and operand st fr (o : operand) : value * int =
-  ignore st;
-  match o with
-  | Reg r -> (fr.regs.(r), fr.ready.(r))
-  | Imm_int n -> (Vi n, 0)
-  | Imm_float f -> (Vf f, 0)
+  fr.ints.(0) <- frame_base;
+  fr
 
 (* Virtual (pipeline) time of the current doacross iteration: its virtual
    start, plus the real cycles it has executed, plus the wait stalls that
    pushed it later in the pipeline schedule. *)
-and da_now st =
+let da_now st =
   st.da_iter_vstart + (st.clock - st.da_iter_base) + st.da_stall
 
-and da_finish_iter st =
+let da_finish_iter st =
   if st.da_iter >= 0 then begin
     let p = st.da_iter mod Array.length st.da_proc_done in
     st.da_proc_done.(p) <- da_now st
   end
 
-and exec st fr : value * int =
-  let f = fr.func in
+(* Charge the closing do-parallel iteration to its processor's bucket. *)
+let par_finish_iter st =
+  if st.par_iter >= 0 then begin
+    let dt = st.clock - st.par_iter_start in
+    let p = st.par_iter mod Array.length st.par_buckets in
+    st.par_buckets.(p) <- st.par_buckets.(p) + dt
+  end
+
+let unknown_label (df : dfunc) pc =
+  match df.fn.Isa.code.(pc) with
+  | Isa.Jump l | Isa.Branch_zero (_, l) | Isa.Branch_nonzero (_, l) ->
+      error "unknown label %s in %s" l df.fn.Isa.fn_name
+  | _ -> assert false
+
+let args_ready fr (args : int array) =
+  let r = ref 0 in
+  Array.iter (fun a -> r := imax !r fr.ready.(a)) args;
+  !r
+
+(* Call [callee] on registers [args] of the caller's frame [cf]. *)
+let rec call st callee cf (args : int array) : value =
+  match callee with
+  | Builtin name -> (
+      match builtin st name (Array.to_list (Array.map (reg_value cf) args)) with
+      | Some v -> v
+      | None -> error "undefined function %s" name)
+  | Func df ->
+      let f = df.fn in
+      let saved_stack = st.stack_top in
+      let frame_base = (st.stack_top + 7) / 8 * 8 in
+      st.stack_top <- frame_base + f.Isa.frame_size;
+      if st.stack_top > mem_size then error "stack overflow";
+      let fr = new_frame df ~frame_base in
+      if Array.length args <> Array.length df.params then
+        error "arity mismatch calling %s" f.Isa.fn_name;
+      for i = 0 to Array.length args - 1 do
+        match df.params.(i) with
+        | P_slot (off, mty) -> store_reg st cf mty ~addr:(frame_base + off) args.(i)
+        | P_reg r -> set_value fr r (reg_value cf args.(i)) ~ready:0
+        | P_unused -> ()
+      done;
+      let result = exec st df fr in
+      st.stack_top <- saved_stack;
+      result
+
+and exec st df fr : value =
+  let code = df.code in
+  let ncode = Array.length code in
+  let m = st.metrics in
   let pc = ref 0 in
   let result = ref (Vi 0) in
-  let running = ref true in
-  let code = f.code in
-  let ncode = Array.length code in
-  let set_reg r v ~ready =
-    fr.regs.(r) <- v;
-    fr.ready.(r) <- ready
-  in
-  let goto_label l =
-    match Hashtbl.find_opt f.labels l with
-    | Some target -> pc := target
-    | None -> error "unknown label %s in %s" l f.fn_name
-  in
-  while !running && !pc < ncode do
-    st.insts_executed <- st.insts_executed + 1;
-    if st.insts_executed > st.config.max_insts then
+  while !pc < ncode do
+    st.fuel <- st.fuel - 1;
+    if st.fuel < 0 then
       error "instruction budget exceeded (infinite loop?)";
-    (* profiling and accounting markers are free: they must not perturb
-       the metrics they are meant to describe *)
-    (match code.(!pc) with
-    | Prof _ | Vsaved _ -> ()
-    | _ -> st.metrics.insts <- st.metrics.insts + 1);
     let next = !pc + 1 in
-    (match code.(!pc) with
-    | Label_def _ -> pc := next
-    | Vsaved { len } ->
+    match code.(!pc) with
+    | Nop -> pc := next
+    | Vsaved len ->
         (* zero-cost accounting marker: one vector memory operation of
            [len] elements avoided by register reuse *)
-        let vl, _ = operand st fr len in
-        st.metrics.vector_mem_elems_avoided <-
-          st.metrics.vector_mem_elems_avoided + as_int vl;
+        st.markers <- st.markers + 1;
+        m.vector_mem_elems_avoided <- m.vector_mem_elems_avoided + reg_int fr len;
         pc := next
     | Prof ev ->
+        (* profiling markers are free: they must not perturb the metrics
+           they are meant to describe *)
+        st.markers <- st.markers + 1;
         (match st.collect with
         | Some c -> (
             match ev with
-            | Ploop_enter k ->
+            | Isa.Ploop_enter k ->
                 Vpc_profile.Collect.loop_enter c k ~clock:st.clock
-            | Ploop_iter k -> Vpc_profile.Collect.loop_iter c k
-            | Ploop_exit k ->
+            | Isa.Ploop_iter k -> Vpc_profile.Collect.loop_iter c k
+            | Isa.Ploop_exit k ->
                 Vpc_profile.Collect.loop_exit c k ~clock:st.clock
-            | Pcall_begin (k, callee) ->
+            | Isa.Pcall_begin (k, callee) ->
                 Vpc_profile.Collect.call_begin c k ~callee ~clock:st.clock
-            | Pcall_end k -> Vpc_profile.Collect.call_end c k ~clock:st.clock)
+            | Isa.Pcall_end k -> Vpc_profile.Collect.call_end c k ~clock:st.clock)
         | None -> ());
         pc := next
-    | Imov (d, s) ->
-        let v, r = operand st fr s in
-        let done_ = issue st Cost.imov ~ops_ready:r in
-        set_reg d v ~ready:done_;
+    | Mov (d, s) ->
+        let done_ = issue st Cost.imov ~ops_ready:fr.ready.(s) in
+        Bytes.set fr.kinds d (Bytes.get fr.kinds s);
+        fr.ints.(d) <- fr.ints.(s);
+        fr.floats.(d) <- fr.floats.(s);
+        fr.ready.(d) <- done_;
         pc := next
-    | Ialu (op, d, a, b) ->
-        let va, ra = operand st fr a in
-        let vb, rb = operand st fr b in
-        let cost =
-          match op with
-          | Imul -> Cost.imul
-          | Idiv | Irem -> Cost.idiv
-          | _ -> Cost.ialu
-        in
-        let done_ = issue st cost ~ops_ready:(max ra rb) in
-        set_reg d (Vi (eval_ialu op (as_int va) (as_int vb))) ~ready:done_;
+    | Ialu (op, cost, d, a, b) ->
+        let done_ = issue st cost ~ops_ready:(imax fr.ready.(a) fr.ready.(b)) in
+        let y = reg_int fr b in
+        set_int fr d (eval_ialu op (reg_int fr a) y) ~ready:done_;
         pc := next
-    | Falu (op, d, a, b, ty) ->
-        let va, ra = operand st fr a in
-        let vb, rb = operand st fr b in
-
-        let cost = match op with Fdiv -> Cost.fdiv | Fmul -> Cost.fmul | _ -> Cost.falu in
-        let done_ = issue st cost ~ops_ready:(max ra rb) in
-        st.metrics.fp_ops <- st.metrics.fp_ops + 1;
-        let v = eval_falu op (as_float va) (as_float vb) in
-        let v = if ty = Ty.Float then round_sp v else v in
-        set_reg d v ~ready:done_;
+    | Falu (op, cost, single, d, a, b) ->
+        let done_ = issue st cost ~ops_ready:(imax fr.ready.(a) fr.ready.(b)) in
+        m.fp_ops <- m.fp_ops + 1;
+        let x = reg_float fr a and y = reg_float fr b in
+        if is_compare op then set_int fr d (fcompare op x y) ~ready:done_
+        else begin
+          let v = farith op x y in
+          set_float fr d (if single then round_sp v else v) ~ready:done_
+        end;
         pc := next
-    | Fneg (d, a, ty) ->
-        let va, ra = operand st fr a in
-        let done_ = issue st Cost.falu ~ops_ready:ra in
-        st.metrics.fp_ops <- st.metrics.fp_ops + 1;
-        let v = Vf (-.as_float va) in
-        let v = if ty = Ty.Float then round_sp v else v in
-        set_reg d v ~ready:done_;
+    | Fneg (single, d, a) ->
+        let done_ = issue st Cost.falu ~ops_ready:fr.ready.(a) in
+        m.fp_ops <- m.fp_ops + 1;
+        let v = -.reg_float fr a in
+        set_float fr d (if single then round_sp v else v) ~ready:done_;
         pc := next
     | Cvt_if (d, a) ->
-        let va, ra = operand st fr a in
-        let done_ = issue st Cost.fcvt ~ops_ready:ra in
-        set_reg d (Vf (float_of_int (as_int va))) ~ready:done_;
+        let done_ = issue st Cost.fcvt ~ops_ready:fr.ready.(a) in
+        set_float fr d (float_of_int (reg_int fr a)) ~ready:done_;
         pc := next
     | Cvt_fi (d, a) ->
-        let va, ra = operand st fr a in
-        let done_ = issue st Cost.fcvt ~ops_ready:ra in
-        set_reg d (Vi (wrap32 (int_of_float (as_float va)))) ~ready:done_;
+        let done_ = issue st Cost.fcvt ~ops_ready:fr.ready.(a) in
+        set_int fr d (wrap32 (int_of_float (reg_float fr a))) ~ready:done_;
         pc := next
-    | Cvt_ff (d, a, ty) ->
-        let va, ra = operand st fr a in
-        let done_ = issue st Cost.fcvt ~ops_ready:ra in
-        let v =
-          if ty = Ty.Float then
-            Vf (Int32.float_of_bits (Int32.bits_of_float (as_float va)))
-          else Vf (as_float va)
-        in
-        set_reg d v ~ready:done_;
+    | Cvt_ff (single, d, a) ->
+        let done_ = issue st Cost.fcvt ~ops_ready:fr.ready.(a) in
+        let v = reg_float fr a in
+        set_float fr d (if single then round_sp v else v) ~ready:done_;
         pc := next
-    | Load { dst; addr; ty; volatile } ->
-        let va, ra = operand st fr addr in
+    | Load { dst; addr; mty; volatile } ->
+        let ra = fr.ready.(addr) in
         let ops_ready =
-          match st.config.sched, volatile with
-          | _, true -> max ra st.last_mem_done
-          | Overlap_conservative, false -> max ra st.last_store_done
-          | (Overlap_full | Sequential), false -> ra
+          if volatile then imax ra st.last_mem_done
+          else
+            match st.sched with
+            | Overlap_conservative -> imax ra st.last_store_done
+            | Overlap_full | Sequential -> ra
         in
         let done_ = issue st Cost.load ~ops_ready in
-        st.metrics.mem_ops <- st.metrics.mem_ops + 1;
+        m.mem_ops <- m.mem_ops + 1;
         if volatile then st.last_mem_done <- done_;
-        set_reg dst (load_mem st ty (as_int va)) ~ready:done_;
+        load_reg st fr mty (reg_int fr addr) dst ~ready:done_;
         pc := next
-    | Store { src; addr; ty; volatile } ->
-        let vs, rs = operand st fr src in
-        let va, ra = operand st fr addr in
+    | Store { src; addr; mty; volatile } ->
+        let rs = fr.ready.(src) and ra = fr.ready.(addr) in
         let ops_ready =
           (* under full scheduling a store enters the store buffer as soon
              as its address is known; the data is forwarded when ready *)
-          let data_wait =
-            match st.config.sched with Overlap_full -> ra | _ -> max rs ra
-          in
-          if volatile then max (max rs ra) st.last_mem_done else data_wait
+          if volatile then imax (imax rs ra) st.last_mem_done
+          else match st.sched with Overlap_full -> ra | _ -> imax rs ra
         in
         let done_ = issue st Cost.store ~ops_ready in
-        st.metrics.mem_ops <- st.metrics.mem_ops + 1;
-        st.last_store_done <- max st.last_store_done done_;
+        m.mem_ops <- m.mem_ops + 1;
+        st.last_store_done <- imax st.last_store_done done_;
         if volatile then st.last_mem_done <- done_;
-        store_mem st ty (as_int va) (convert ty vs);
+        store_reg st fr mty ~addr:(reg_int fr addr) src;
         pc := next
-    | Jump l ->
-        ignore (issue_branch st ~ops_ready:0);
-        goto_label l
-    | Branch_zero (o, l) ->
-        let v, r = operand st fr o in
-        ignore (issue_branch st ~ops_ready:r);
-        if as_int (convert Ty.Int v) = 0 then goto_label l else pc := next
-    | Branch_nonzero (o, l) ->
-        let v, r = operand st fr o in
-        ignore (issue_branch st ~ops_ready:r);
-        if as_int (convert Ty.Int v) <> 0 then goto_label l else pc := next
-    | Call { dst; name; args } ->
-        let vals_readies = List.map (operand st fr) args in
-        let ops_ready =
-          List.fold_left (fun acc (_, r) -> max acc r) 0 vals_readies
-        in
-        st.clock <- max st.clock ops_ready;
-        st.clock <- st.clock + Cost.call_overhead;
-        st.metrics.calls <- st.metrics.calls + 1;
-        let v, _ = run_function st name (List.map fst vals_readies) in
+    | Jump target ->
+        issue_branch st ~ops_ready:0;
+        pc := if target >= 0 then target else unknown_label df !pc
+    | Branch_zero (o, target) ->
+        issue_branch st ~ops_ready:fr.ready.(o);
+        pc :=
+          if reg_true fr o then next
+          else if target >= 0 then target
+          else unknown_label df !pc
+    | Branch_nonzero (o, target) ->
+        issue_branch st ~ops_ready:fr.ready.(o);
+        pc :=
+          if not (reg_true fr o) then next
+          else if target >= 0 then target
+          else unknown_label df !pc
+    | Call { dst; callee; args } ->
+        st.clock <- imax st.clock (args_ready fr args) + Cost.call_overhead;
+        m.calls <- m.calls + 1;
+        let v = call st callee fr args in
         st.clock <- st.clock + Cost.ret_overhead;
-        (match dst with
-        | Some d -> set_reg d v ~ready:st.clock
-        | None -> ());
+        if dst >= 0 then set_value fr dst v ~ready:st.clock;
         pc := next
     | Ret o ->
-        (match o with
-        | Some o ->
-            let v, r = operand st fr o in
-            st.clock <- max st.clock r;
-            result := v
-        | None -> ());
-        running := false
-    | Vload { dst; base; stride; len; ty } ->
-        let vb, rb = operand st fr base in
-        let vs, rs = operand st fr stride in
-        let vl, rl = operand st fr len in
-        let n = as_int vl in
+        if o >= 0 then begin
+          st.clock <- imax st.clock fr.ready.(o);
+          result := reg_value fr o
+        end;
+        pc := ncode
+    | Vload { dst; base; stride; len; mty } ->
+        let n = reg_int fr len in
         let ops_ready =
-          let r = max (max rb rs) rl in
-          match st.config.sched with
-          | Overlap_conservative -> max r st.last_store_done
+          let r = imax (imax fr.ready.(base) fr.ready.(stride)) fr.ready.(len) in
+          match st.sched with
+          | Overlap_conservative -> imax r st.last_store_done
           | Overlap_full | Sequential -> r
         in
         let done_ =
           issue_vector st ~unit_:Cost.MEM ~startup:Cost.vector_startup_mem
             ~len:n ~ops_ready
         in
-        st.metrics.vector_insts <- st.metrics.vector_insts + 1;
-        st.metrics.vector_elems <- st.metrics.vector_elems + n;
-        st.metrics.mem_ops <- st.metrics.mem_ops + n;
-        let b = as_int vb and s = as_int vs in
-        fr.vregs.(dst) <- Array.init n (fun i -> load_mem st ty (b + (i * s)));
+        m.vector_insts <- m.vector_insts + 1;
+        m.vector_elems <- m.vector_elems + n;
+        m.mem_ops <- m.mem_ops + n;
+        let b = reg_int fr base and s = reg_int fr stride in
+        let n = vlen n in
+        let d = vreg_for_write fr dst in
+        (match mty with
+        | M_char ->
+            let out = vi_cap d n in
+            for i = 0 to n - 1 do
+              let a = b + (i * s) in
+              check st a 1;
+              out.(i) <- sign8 (Char.code (Bytes.get st.mem a))
+            done;
+            d.fl <- false
+        | M_int | M_ptr ->
+            let out = vi_cap d n in
+            for i = 0 to n - 1 do
+              let a = b + (i * s) in
+              check st a 4;
+              out.(i) <- Int32.to_int (Bytes.get_int32_le st.mem a)
+            done;
+            d.fl <- false
+        | M_float ->
+            let out = vf_cap d n in
+            for i = 0 to n - 1 do
+              let a = b + (i * s) in
+              check st a 4;
+              out.(i) <- Int32.float_of_bits (Bytes.get_int32_le st.mem a)
+            done;
+            d.fl <- true
+        | M_double ->
+            let out = vf_cap d n in
+            for i = 0 to n - 1 do
+              let a = b + (i * s) in
+              check st a 8;
+              out.(i) <- Int64.float_of_bits (Bytes.get_int64_le st.mem a)
+            done;
+            d.fl <- true
+        | M_void | M_agg -> if n > 0 then error "bad load type");
+        d.n <- n;
         fr.vready.(dst) <- done_;
         pc := next
-    | Vstore { src; base; stride; len; ty } ->
-        let vb, rb = operand st fr base in
-        let vs, rs = operand st fr stride in
-        let vl, rl = operand st fr len in
-        let n = as_int vl in
-        let ops_ready = max (max (max rb rs) rl) fr.vready.(src) in
+    | Vstore { src; base; stride; len; mty } ->
+        let n = reg_int fr len in
+        let ops_ready =
+          imax
+            (imax (imax fr.ready.(base) fr.ready.(stride)) fr.ready.(len))
+            fr.vready.(src)
+        in
         let done_ =
           issue_vector st ~unit_:Cost.MEM ~startup:Cost.vector_startup_mem
             ~len:n ~ops_ready
         in
-        st.metrics.vector_insts <- st.metrics.vector_insts + 1;
-        st.metrics.vector_elems <- st.metrics.vector_elems + n;
-        st.metrics.mem_ops <- st.metrics.mem_ops + n;
-        st.last_store_done <- max st.last_store_done done_;
-        let b = as_int vb and s = as_int vs in
-        let data = fr.vregs.(src) in
-        if Array.length data < n then error "vector register shorter than store";
-        for i = 0 to n - 1 do
-          store_mem st ty (b + (i * s)) (convert ty data.(i))
-        done;
+        m.vector_insts <- m.vector_insts + 1;
+        m.vector_elems <- m.vector_elems + n;
+        m.mem_ops <- m.mem_ops + n;
+        st.last_store_done <- imax st.last_store_done done_;
+        let b = reg_int fr base and s = reg_int fr stride in
+        let r = fr.vregs.(src) in
+        if r.n < n then error "vector register shorter than store";
+        (match mty with
+        | M_float | M_double ->
+            for i = 0 to n - 1 do
+              let x = if r.fl then r.vf.(i) else float_of_int r.vi.(i) in
+              store_float st mty (b + (i * s)) x
+            done
+        | M_char | M_int | M_ptr ->
+            for i = 0 to n - 1 do
+              store_int st mty (b + (i * s))
+                (if r.fl then float_to_int mty r.vf.(i) else int_to_int mty r.vi.(i))
+            done
+        | M_void | M_agg -> if n > 0 then bad_store mty);
         pc := next
-    | Vop { op; dst; a; b; len; ty } ->
-        let n, rl =
-          let v, r = operand st fr len in
-          (as_int v, r)
+    | Vop { op; dst; a; b; len; single; flops } ->
+        let n = reg_int fr len in
+        let ops_ready =
+          imax (imax (vsrc_ready fr a) (vsrc_ready fr b)) fr.ready.(len)
         in
-        let get_src = function
-          | Vr vr -> (Array.map (fun x -> x) fr.vregs.(vr), fr.vready.(vr))
-          | Vscal o ->
-              let v, r = operand st fr o in
-              (Array.make (max n 1) v, r)
-        in
-        let da, ra = get_src a in
-        let db, rb = get_src b in
-        let ops_ready = max (max ra rb) rl in
         let done_ =
           issue_vector st ~unit_:Cost.FPU ~startup:Cost.vector_startup_fpu
             ~len:n ~ops_ready
         in
-        st.metrics.vector_insts <- st.metrics.vector_insts + 1;
-        st.metrics.vector_elems <- st.metrics.vector_elems + n;
-        if Ty.is_float ty then st.metrics.fp_ops <- st.metrics.fp_ops + n;
-        let elt i =
-          let x = if i < Array.length da then da.(i) else Vi 0 in
-          let y = if i < Array.length db then db.(i) else Vi 0 in
-          match op with
-          | Fop fop ->
-              let v = eval_falu fop (as_float x) (as_float y) in
-              if ty = Ty.Float then round_sp v else v
-          | Iop iop -> Vi (eval_ialu iop (as_int x) (as_int y))
-        in
-        fr.vregs.(dst) <- Array.init n elt;
+        m.vector_insts <- m.vector_insts + 1;
+        m.vector_elems <- m.vector_elems + n;
+        if flops then m.fp_ops <- m.fp_ops + n;
+        let n = vlen n in
+        (match op with
+        | Isa.Fop fop ->
+            let x = float_view st fr 0 a n and y = float_view st fr 1 b n in
+            let d = vreg_for_write fr dst in
+            if is_compare fop then begin
+              let out = vi_cap d n in
+              for i = 0 to n - 1 do out.(i) <- fcompare fop x.(i) y.(i) done;
+              d.fl <- false
+            end
+            else begin
+              vfarith fop ~single x y (vf_cap d n) n;
+              d.fl <- true
+            end;
+            d.n <- n
+        | Isa.Iop iop ->
+            let x = int_view st fr 0 a n and y = int_view st fr 1 b n in
+            let d = vreg_for_write fr dst in
+            let out = vi_cap d n in
+            for i = 0 to n - 1 do out.(i) <- eval_ialu iop x.(i) y.(i) done;
+            d.fl <- false;
+            d.n <- n);
         fr.vready.(dst) <- done_;
         pc := next
-    | Vneg { dst; a; len; ty } ->
-        let n, rl =
-          let v, r = operand st fr len in
-          (as_int v, r)
-        in
-        let da, ra =
-          match a with
-          | Vr vr -> (fr.vregs.(vr), fr.vready.(vr))
-          | Vscal o ->
-              let v, r = operand st fr o in
-              (Array.make (max n 1) v, r)
-        in
+    | Vneg { dst; a; len; single; flops } ->
+        let n = reg_int fr len in
         let done_ =
           issue_vector st ~unit_:Cost.FPU ~startup:Cost.vector_startup_fpu
-            ~len:n ~ops_ready:(max ra rl)
+            ~len:n ~ops_ready:(imax (vsrc_ready fr a) fr.ready.(len))
         in
-        st.metrics.vector_insts <- st.metrics.vector_insts + 1;
-        st.metrics.vector_elems <- st.metrics.vector_elems + n;
-        if Ty.is_float ty then st.metrics.fp_ops <- st.metrics.fp_ops + n;
-        fr.vregs.(dst) <-
-          Array.init n (fun i ->
-              match da.(i) with
-              | Vi x -> Vi (wrap32 (-x))
-              | Vf x -> if ty = Ty.Float then round_sp (Vf (-.x)) else Vf (-.x));
+        m.vector_insts <- m.vector_insts + 1;
+        m.vector_elems <- m.vector_elems + n;
+        if flops then m.fp_ops <- m.fp_ops + n;
+        let n = vlen n in
+        (match a with
+        | Vr v ->
+            let r = fr.vregs.(v) in
+            if r.n < n then short_operand ();
+            let d = vreg_for_write fr dst in
+            if r.fl then begin
+              let x = r.vf in
+              let out = vf_cap d n in
+              for i = 0 to n - 1 do out.(i) <- -.x.(i) done;
+              if single then for i = 0 to n - 1 do out.(i) <- round_sp out.(i) done
+            end
+            else begin
+              let x = r.vi in
+              let out = vi_cap d n in
+              for i = 0 to n - 1 do out.(i) <- wrap32 (-x.(i)) done
+            end;
+            d.fl <- r.fl;
+            d.n <- n
+        | Vscal s ->
+            let d = vreg_for_write fr dst in
+            if Bytes.get fr.kinds s = k_int then begin
+              Array.fill (vi_cap d n) 0 n (wrap32 (-fr.ints.(s)));
+              d.fl <- false
+            end
+            else begin
+              let x = -.fr.floats.(s) in
+              Array.fill (vf_cap d n) 0 n (if single then round_sp x else x);
+              d.fl <- true
+            end;
+            d.n <- n);
         fr.vready.(dst) <- done_;
         pc := next
     | Viota { dst; offset; scale; len } ->
-        let vo, ro = operand st fr offset in
-        let vs, rs = operand st fr scale in
-        let vl, rl = operand st fr len in
-        let n = as_int vl in
+        let n = reg_int fr len in
         let done_ =
           issue_vector st ~unit_:Cost.FPU ~startup:Cost.viota_startup ~len:n
-            ~ops_ready:(max (max ro rs) rl)
+            ~ops_ready:
+              (imax (imax fr.ready.(offset) fr.ready.(scale)) fr.ready.(len))
         in
-        st.metrics.vector_insts <- st.metrics.vector_insts + 1;
-        st.metrics.vector_elems <- st.metrics.vector_elems + n;
+        m.vector_insts <- m.vector_insts + 1;
+        m.vector_elems <- m.vector_elems + n;
         (* iota broadcasts scalars too: scale 0 replicates a float *)
-        fr.vregs.(dst) <-
-          (match vo, as_int vs with
-          | Vf f, 0 -> Array.make n (Vf f)
-          | _, s -> Array.init n (fun i -> Vi (wrap32 (as_int vo + (s * i)))));
+        let s = reg_int fr scale in
+        let n = vlen n in
+        let d = vreg_for_write fr dst in
+        if s = 0 && Bytes.get fr.kinds offset = k_float then begin
+          Array.fill (vf_cap d n) 0 n fr.floats.(offset);
+          d.fl <- true
+        end
+        else begin
+          let out = vi_cap d n in
+          if n > 0 then begin
+            let o = reg_int fr offset in
+            for i = 0 to n - 1 do out.(i) <- wrap32 (o + (s * i)) done
+          end;
+          d.fl <- false
+        end;
+        d.n <- n;
         fr.vready.(dst) <- done_;
         pc := next
     | Vcvt { dst; a; len; to_ } ->
-        let vl, rl = operand st fr len in
-        let n = as_int vl in
+        let n = reg_int fr len in
         let done_ =
           issue_vector st ~unit_:Cost.FPU ~startup:Cost.vector_startup_fpu
-            ~len:n ~ops_ready:(max fr.vready.(a) rl)
+            ~len:n ~ops_ready:(imax fr.vready.(a) fr.ready.(len))
         in
-        st.metrics.vector_insts <- st.metrics.vector_insts + 1;
-        st.metrics.vector_elems <- st.metrics.vector_elems + n;
-        let src = fr.vregs.(a) in
-        fr.vregs.(dst) <-
-          Array.init n (fun i ->
-              convert to_ (if i < Array.length src then src.(i) else Vi 0));
+        m.vector_insts <- m.vector_insts + 1;
+        m.vector_elems <- m.vector_elems + n;
+        let n = vlen n in
+        (* an element past the source's length converts from 0 *)
+        let r = fr.vregs.(a) in
+        let sn = r.n and sfl = r.fl and si = r.vi and sf = r.vf in
+        let d = vreg_for_write fr dst in
+        let to_floats =
+          match to_ with M_float | M_double -> true | M_void -> sfl | _ -> false
+        in
+        (match to_ with
+        | M_agg -> if n > 0 then error "bad conversion"
+        | _ when to_floats ->
+            let out = vf_cap d n in
+            for i = 0 to n - 1 do
+              out.(i) <-
+                (if i >= sn then 0.0 else if sfl then sf.(i) else float_of_int si.(i))
+            done;
+            if to_ == M_float then
+              for i = 0 to n - 1 do out.(i) <- round_sp out.(i) done;
+            d.fl <- true
+        | _ ->
+            let out = vi_cap d n in
+            for i = 0 to n - 1 do
+              out.(i) <-
+                (if i >= sn then 0
+                 else if sfl then float_to_int to_ sf.(i)
+                 else int_to_int to_ si.(i))
+            done;
+            d.fl <- false);
+        d.n <- n;
         fr.vready.(dst) <- done_;
         pc := next
     | Par_enter ->
-        if st.par_active then ()  (* nested: account serially *)
-        else begin
+        if not st.par_active then begin
+          (* a nested region is accounted serially *)
           st.par_active <- true;
           st.par_enter_clock <- st.clock;
           st.par_buckets <- Array.make (max st.config.procs 1) 0;
           st.par_iter <- -1;
           st.par_iter_start <- st.clock;
           st.par_serial_total <- 0;
-          st.metrics.parallel_regions <- st.metrics.parallel_regions + 1
+          m.parallel_regions <- m.parallel_regions + 1
         end;
         pc := next
     | Par_serial_end ->
@@ -875,18 +1437,14 @@ and exec st fr : value * int =
           st.da_stall <- 0
         end
         else if st.par_active then begin
-          if st.par_iter >= 0 then begin
-            let dt = st.clock - st.par_iter_start in
-            let p = st.par_iter mod Array.length st.par_buckets in
-            st.par_buckets.(p) <- st.par_buckets.(p) + dt
-          end;
+          par_finish_iter st;
           st.par_iter <- st.par_iter + 1;
           st.par_iter_start <- st.clock
         end;
         pc := next
     | Da_enter ->
-        if st.par_active then ()  (* nested: account serially *)
-        else begin
+        if not st.par_active then begin
+          (* a nested region is accounted serially *)
           st.par_active <- true;
           st.da_active <- true;
           st.par_enter_clock <- st.clock;
@@ -895,47 +1453,43 @@ and exec st fr : value * int =
           st.da_iter_vstart <- 0;
           st.da_iter_base <- st.clock;
           st.da_stall <- 0;
-          Hashtbl.reset st.da_posts;
-          Hashtbl.reset st.da_post_pre;
-          st.metrics.parallel_regions <- st.metrics.parallel_regions + 1
+          st.da_posts.rows <- [||];
+          st.da_post_pre.rows <- [||];
+          m.parallel_regions <- m.parallel_regions + 1
         end;
         pc := next
-    | Post { chan } ->
-        st.metrics.posts <- st.metrics.posts + 1;
+    | Post chan ->
+        m.posts <- m.posts + 1;
         st.clock <- st.clock + Cost.post_cycles;
         if st.da_active then begin
           let now = da_now st in
-          Hashtbl.replace st.da_posts (chan, st.da_iter) now;
-          let prev =
-            Option.value
-              (Hashtbl.find_opt st.da_post_pre (chan, st.da_iter - 1))
-              ~default:min_int
-          in
-          Hashtbl.replace st.da_post_pre (chan, st.da_iter) (max now prev)
+          posts_set st.da_posts chan st.da_iter now;
+          let prev = posts_find st.da_post_pre chan (st.da_iter - 1) in
+          posts_set st.da_post_pre chan st.da_iter (imax now prev)
         end;
         pc := next
     | Wait { chan; dist; cum } ->
-        st.metrics.waits <- st.metrics.waits + 1;
+        m.waits <- m.waits + 1;
         st.clock <- st.clock + Cost.wait_cycles;
         (if st.da_active && st.da_iter >= 0 then begin
            let target = st.da_iter - dist in
            (* iterations below the loop's lower bound count as posted *)
            if target >= 0 then
              let table = if cum then st.da_post_pre else st.da_posts in
-             match Hashtbl.find_opt table (chan, target) with
-             | Some post_v ->
-                 let stall = post_v - da_now st in
-                 if stall > 0 then begin
-                   st.da_stall <- st.da_stall + stall;
-                   st.metrics.post_wait_stalls <-
-                     st.metrics.post_wait_stalls + stall
-                 end
-             | None ->
-                 error
-                   "doacross %swait on c%d in iteration %d: iteration %d \
-                    never posted (deadlock)"
-                   (if cum then "cumulative " else "")
-                   chan st.da_iter target
+             let post_v = posts_find table chan target in
+             if post_v <> not_posted then begin
+               let stall = post_v - da_now st in
+               if stall > 0 then begin
+                 st.da_stall <- st.da_stall + stall;
+                 m.post_wait_stalls <- m.post_wait_stalls + stall
+               end
+             end
+             else
+               error
+                 "doacross %swait on c%d in iteration %d: iteration %d \
+                  never posted (deadlock)"
+                 (if cum then "cumulative " else "")
+                 chan st.da_iter target
          end);
         pc := next
     | Par_exit ->
@@ -943,35 +1497,30 @@ and exec st fr : value * int =
           da_finish_iter st;
           let serial_time = st.clock - st.par_enter_clock in
           let par_time =
-            Array.fold_left max 0 st.da_proc_done + Cost.barrier_cycles
+            Array.fold_left imax 0 st.da_proc_done + Cost.barrier_cycles
           in
           if par_time < serial_time then
             st.saved <- st.saved + (serial_time - par_time);
           st.da_active <- false;
           st.par_active <- false;
-          Hashtbl.reset st.da_posts;
-          Hashtbl.reset st.da_post_pre
+          st.da_posts.rows <- [||];
+          st.da_post_pre.rows <- [||]
         end
         else if st.par_active then begin
-          (if st.par_iter >= 0 then begin
-             let dt = st.clock - st.par_iter_start in
-             let p = st.par_iter mod Array.length st.par_buckets in
-             st.par_buckets.(p) <- st.par_buckets.(p) + dt
-           end);
+          par_finish_iter st;
           let serial_time = st.clock - st.par_enter_clock in
           let par_time =
             st.par_serial_total
-            + Array.fold_left max 0 st.par_buckets
+            + Array.fold_left imax 0 st.par_buckets
             + Cost.barrier_cycles
           in
           if par_time < serial_time then
             st.saved <- st.saved + (serial_time - par_time);
           st.par_active <- false
         end;
-        pc := next);
-    ()
+        pc := next
   done;
-  (!result, st.clock)
+  !result
 
 (* ----------------------------------------------------------------- *)
 (* Entry points                                                      *)
@@ -982,7 +1531,6 @@ type run_result = {
   stdout_text : string;
   metrics : metrics;
   mflops_rate : float;
-  final_state : state;
 }
 
 let rec const_value (e : Expr.t) : value =
@@ -1002,34 +1550,35 @@ let init_globals st =
       match g.Prog.ginit with
       | Prog.Init_none -> ()
       | Prog.Init_scalar e ->
-          store_mem st ty addr (convert ty (const_value e))
+          store_mem st (mty_of ty) addr (convert ty (const_value e))
       | Prog.Init_array es ->
           let elt = match ty with Ty.Array (e, _) -> e | t -> t in
           let esize = Ty.sizeof st.layout.lprog.Prog.structs elt in
           List.iteri
             (fun i e ->
-              store_mem st elt (addr + (i * esize)) (convert elt (const_value e)))
+              store_mem st (mty_of elt) (addr + (i * esize))
+                (convert elt (const_value e)))
             es
       | Prog.Init_string s ->
           String.iteri (fun i c -> Bytes.set st.mem (addr + i) c) s;
           Bytes.set st.mem (addr + String.length s) '\000')
     (Prog.globals_list st.layout.lprog)
 
-let create_state ?(config = default_config) ?collect (program : Isa.program)
-    (layout : layout) : state =
+let create_state config collect (layout : layout) : state =
+  let stack_base = layout.globals_top + 64 in
   let st =
     {
       collect;
-      program;
       config;
-      mem = Bytes.make mem_size '\000';
+      sched = config.sched;
+      mem = Bytes.make (min mem_size (stack_base + initial_stack)) '\000';
       layout;
-      stack_top = layout.globals_top + 64;
+      stack_top = stack_base;
       output = Buffer.create 256;
       metrics = new_metrics ();
       clock = 0;
       saved = 0;
-      unit_free = Hashtbl.create 4;
+      unit_free = Array.make 4 0;
       last_store_done = 0;
       last_mem_done = 0;
       par_buckets = [||];
@@ -1044,10 +1593,13 @@ let create_state ?(config = default_config) ?collect (program : Isa.program)
       da_iter_vstart = 0;
       da_iter_base = 0;
       da_stall = 0;
-      da_posts = Hashtbl.create 64;
-      da_post_pre = Hashtbl.create 64;
-      insts_executed = 0;
+      da_posts = { rows = [||] };
+      da_post_pre = { rows = [||] };
+      fuel = config.max_insts;
+      markers = 0;
       issued = 0;
+      scratch_f = [| [||]; [||] |];
+      scratch_i = [| [||]; [||] |];
     }
   in
   init_globals st;
@@ -1061,11 +1613,11 @@ let declare_sites (c : Vpc_profile.Collect.t) (program : Isa.program) =
     (fun _ (f : Isa.func) ->
       Array.iter
         (function
-          | Prof (Ploop_enter k) -> Vpc_profile.Collect.declare_loop c k
-          | Prof (Pcall_begin (k, callee)) ->
+          | Isa.Prof (Isa.Ploop_enter k) -> Vpc_profile.Collect.declare_loop c k
+          | Isa.Prof (Isa.Pcall_begin (k, callee)) ->
               Vpc_profile.Collect.declare_call c k ~callee
           | _ -> ())
-        f.code)
+        f.Isa.code)
     program.Isa.funcs
 
 let sched_name = function
@@ -1073,8 +1625,8 @@ let sched_name = function
   | Overlap_conservative -> "conservative"
   | Overlap_full -> "full"
 
-let run ?config ?(entry = "main") ?(args = []) ?collect ?(vreuse = false)
-    (prog : Prog.t) : run_result =
+let run ?(config = default_config) ?(entry = "main") ?(args = []) ?collect
+    ?(vreuse = false) (prog : Prog.t) : run_result =
   let layout = layout_globals prog in
   let program =
     Codegen.gen_program prog ~vreuse
@@ -1085,29 +1637,30 @@ let run ?config ?(entry = "main") ?(args = []) ?collect ?(vreuse = false)
         | None -> error "no address for global %d" id)
   in
   (match collect with Some c -> declare_sites c program | None -> ());
-  let st = create_state ?config ?collect program layout in
-  let return_value, _ = run_function st entry args in
-  st.metrics.cycles <- st.clock - st.saved;
+  let lookup = decode program in
+  let st = create_state config collect layout in
+  (* the entry's arguments, as the registers of a caller frame *)
+  let args = Array.of_list args in
+  let caller =
+    {
+      kinds = Bytes.init (Array.length args) (fun i ->
+          match args.(i) with Vi _ -> k_int | Vf _ -> k_float);
+      ints = Array.map (function Vi n -> n | Vf _ -> 0) args;
+      floats = Array.map (function Vf f -> f | Vi _ -> 0.0) args;
+      ready = Array.make (Array.length args) 0;
+      vregs = [||];
+      vready = [||];
+    }
+  in
+  let return_value =
+    call st (lookup entry) caller (Array.init (Array.length args) Fun.id)
+  in
+  let m = st.metrics in
+  m.cycles <- st.clock - st.saved;
+  m.insts <- config.max_insts - st.fuel - st.markers;
   {
     return_value;
     stdout_text = Buffer.contents st.output;
-    metrics = st.metrics;
-    mflops_rate = mflops st.metrics ~clock_mhz:st.config.clock_mhz;
-    final_state = st;
+    metrics = m;
+    mflops_rate = mflops m ~clock_mhz:config.clock_mhz;
   }
-
-(* Read back a named global array, for tests comparing against the IL
-   interpreter. *)
-let global_array st prog name n =
-  let g =
-    List.find_opt
-      (fun (g : Prog.global) -> g.gvar.Var.name = name)
-      (Prog.globals_list prog)
-  in
-  match g with
-  | None -> error "no global %s" name
-  | Some g ->
-      let elt = match g.gvar.Var.ty with Ty.Array (e, _) -> e | t -> t in
-      let size = Ty.sizeof prog.Prog.structs elt in
-      let addr = Hashtbl.find st.layout.addr_of g.gvar.Var.id in
-      List.init n (fun i -> load_mem st elt (addr + (i * size)))

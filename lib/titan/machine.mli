@@ -69,14 +69,11 @@ type metrics = {
 
 val mflops : metrics -> clock_mhz:float -> float
 
-type state
-
 type run_result = {
   return_value : value;
   stdout_text : string;
   metrics : metrics;
   mflops_rate : float;
-  final_state : state;
 }
 
 (** CLI-facing name of a scheduling model ("seq", "conservative",
@@ -96,7 +93,3 @@ val run :
   ?vreuse:bool ->
   Prog.t ->
   run_result
-
-(** Read back a named global array from a finished run, for differential
-    tests against the interpreter. *)
-val global_array : state -> Prog.t -> string -> int -> value list

@@ -2,6 +2,13 @@
    between the IL interpreter and the Titan simulator across optimization
    levels, and a random C program generator for property tests. *)
 
+let read_file path =
+  let ic = open_in_bin path in
+  let n = in_channel_length ic in
+  let s = really_input_string ic n in
+  close_in ic;
+  s
+
 let compile ?(options = Vpc.o0) src : Vpc.Il.Prog.t =
   fst (Vpc.compile ~options src)
 

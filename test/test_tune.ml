@@ -5,13 +5,6 @@
 module Tune = Vpc.Tune
 module Tuned = Vpc.Profile.Tuned
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
 (* The nests the scout compile fingerprints, at [options]'s pipeline. *)
 let nests_of ?(options = Vpc.o3) src =
   let prog = Vpc.parse src in
@@ -215,7 +208,7 @@ let store_merge_newer_wins () =
 (* An empty (or missing) store must compile byte-identically to no
    tuning at every optimization level: IL text and Titan listing. *)
 let empty_store_byte_identity () =
-  let src = read_file "../examples/saxpy_chain.c" in
+  let src = Helpers.read_file "../examples/saxpy_chain.c" in
   List.iter
     (fun (lname, base) ->
       let plain = compile_text ~options:base src in
@@ -234,7 +227,7 @@ let empty_store_byte_identity () =
    must be deterministic (byte-identical asm across replays), no slower
    than static, and output-equal to the unoptimized reference. *)
 let search_and_replay () =
-  let src = read_file "../examples/saxpy_chain.c" in
+  let src = Helpers.read_file "../examples/saxpy_chain.c" in
   let tr = Vpc.tune ~options:Vpc.o3 ~budget:2 ~stamp:1 src in
   if tr.Vpc.tuned_cycles > tr.Vpc.static_cycles then
     Alcotest.failf "tuning made the program slower: %d > %d"

@@ -169,13 +169,6 @@ let volatile_no_forward () =
 (* every example, reuse on vs off                                    *)
 (* ----------------------------------------------------------------- *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
 (* device_poll.c busy-waits on a volatile register and only terminates
    under the device harness, so it is compile-only here. *)
 let example_files ~runnable =
