@@ -7,11 +7,9 @@ open Vpc_support
 open Vpc_il
 
 type t = {
-  cfg : Cfg.t;
-  func : Func.t;
   var_index : (int, int) Hashtbl.t;  (* var id -> bit index *)
-  index_var : int array;
-  live_out : (int, Bitset.t) Hashtbl.t;  (* node id -> live-out set *)
+  pos : (int, int) Hashtbl.t;        (* node id -> RPO position *)
+  live_out : Bitset.t array;         (* RPO position -> live-out set *)
   unsafe : (int, unit) Hashtbl.t;
 }
 
@@ -28,12 +26,10 @@ let build (func : Func.t) : t =
   let cfg = Cfg.build func in
   (* universe of scalar vars *)
   let var_index = Hashtbl.create 32 in
-  let vars = ref [] in
   let n = ref 0 in
   let consider id =
     if not (Hashtbl.mem var_index id) then begin
       Hashtbl.replace var_index id !n;
-      vars := id :: !vars;
       incr n
     end
   in
@@ -58,62 +54,46 @@ let build (func : Func.t) : t =
       | Some v -> if v.volatile || Var.is_global v then Hashtbl.replace unsafe id ()
       | None -> Hashtbl.replace unsafe id ())
     var_index;
-  let index_var = Array.make !n 0 in
-  Hashtbl.iter (fun id idx -> index_var.(idx) <- id) var_index;
   let nvars = !n in
-  let live_in = Hashtbl.create 64 in
-  let live_out = Hashtbl.create 64 in
-  Cfg.iter_rpo
-    (fun id _ ->
-      Hashtbl.replace live_in id (Bitset.create nvars);
-      Hashtbl.replace live_out id (Bitset.create nvars))
-    cfg;
-  (* Unsafe vars are live at exit: their values may be observed through
-     memory or by callers. *)
-  let exit_live = Hashtbl.find live_in Cfg.exit_id in
-  Hashtbl.iter
-    (fun id () ->
-      match Hashtbl.find_opt var_index id with
-      | Some idx -> Bitset.add exit_live idx
-      | None -> ())
-    unsafe;
+  (* Dense per-node tables indexed by RPO position.  Unsafe variables need
+     no exit seed: [live_out_of] answers [true] for them outright, and
+     each variable's bit flows independently of the others. *)
+  let order = Array.of_list cfg.Cfg.rpo in
+  let nodes = Array.length order in
+  let pos = Hashtbl.create nodes in
+  Array.iteri (fun k id -> Hashtbl.replace pos id k) order;
+  let bit v = Hashtbl.find_opt var_index v in
+  let succs = Array.make nodes [||] in
+  let defs = Array.make nodes None and uses = Array.make nodes [] in
+  Array.iteri
+    (fun k id ->
+      let node = Cfg.node cfg id in
+      succs.(k) <-
+        Array.of_list (List.filter_map (Hashtbl.find_opt pos) node.Cfg.succs);
+      Option.iter
+        (fun s ->
+          defs.(k) <- Option.bind (def_of s) bit;
+          uses.(k) <- List.filter_map bit (uses_of s))
+        node.Cfg.stmt)
+    order;
+  let live_in = Array.init nodes (fun _ -> Bitset.create nvars) in
+  let live_out = Array.init nodes (fun _ -> Bitset.create nvars) in
+  let scratch = Bitset.create nvars in
   let changed = ref true in
   while !changed do
     changed := false;
-    (* iterate in postorder (reverse of rpo) for backward flow *)
-    List.iter
-      (fun id ->
-        let node = Cfg.node cfg id in
-        let out = Hashtbl.find live_out id in
-        List.iter
-          (fun succ_id ->
-            match Hashtbl.find_opt live_in succ_id with
-            | Some succ_in -> ignore (Bitset.union_into out succ_in)
-            | None -> ())
-          node.Cfg.succs;
-        let in_ = Bitset.copy out in
-        (match node.Cfg.stmt with
-        | None -> ()
-        | Some s ->
-            (match def_of s with
-            | Some v -> (
-                match Hashtbl.find_opt var_index v with
-                | Some idx -> Bitset.remove in_ idx
-                | None -> ())
-            | None -> ());
-            List.iter
-              (fun v ->
-                match Hashtbl.find_opt var_index v with
-                | Some idx -> Bitset.add in_ idx
-                | None -> ())
-              (uses_of s));
-        if not (Bitset.equal in_ (Hashtbl.find live_in id)) then begin
-          changed := true;
-          Hashtbl.replace live_in id in_
-        end)
-      (List.rev cfg.Cfg.rpo)
+    (* postorder (reverse of RPO) for backward flow; IN = (OUT \ def) ∪
+       uses grows monotonically, so it is accumulated by union *)
+    for k = nodes - 1 downto 0 do
+      let out = live_out.(k) in
+      Array.iter (fun sk -> ignore (Bitset.union_into out live_in.(sk))) succs.(k);
+      Bitset.blit ~src:out ~dst:scratch;
+      Option.iter (Bitset.remove scratch) defs.(k);
+      List.iter (Bitset.add scratch) uses.(k);
+      if Bitset.union_into live_in.(k) scratch then changed := true
+    done
   done;
-  { cfg; func; var_index; index_var; live_out; unsafe }
+  { var_index; pos; live_out; unsafe }
 
 let live_out_of t ~stmt_id ~var =
   match Hashtbl.find_opt t.var_index var with
@@ -121,6 +101,6 @@ let live_out_of t ~stmt_id ~var =
   | Some idx -> (
       if Hashtbl.mem t.unsafe var then true
       else
-        match Hashtbl.find_opt t.live_out stmt_id with
-        | Some out -> Bitset.mem out idx
+        match Hashtbl.find_opt t.pos stmt_id with
+        | Some k -> Bitset.mem t.live_out.(k) idx
         | None -> false (* unreachable statement: nothing is live *))

@@ -1,7 +1,6 @@
 (** Backward live-variable analysis over the CFG.  Dead-code elimination
     and induction-variable elimination consult live-out sets; unsafe
-    variables (address-taken, global, volatile) are treated as live at
-    exit. *)
+    variables (address-taken, global, volatile) are always live. *)
 
 open Vpc_il
 

@@ -26,14 +26,13 @@ type reach =
   | Unknown           (* a weak def (memory write / call) may intervene *)
 
 type t = {
-  cfg : Cfg.t;
   func : Func.t;
   prog : Prog.t option;
   defs : def array;
   defs_of_var : (int, int list) Hashtbl.t;
   unsafe : (int, unit) Hashtbl.t;
-  ins : (int, Bitset.t) Hashtbl.t;  (* node id -> IN bitset *)
-  tracked : (int, unit) Hashtbl.t;
+  pos : (int, int) Hashtbl.t;  (* node id -> RPO position *)
+  ins : Bitset.t array;        (* RPO position -> IN bitset *)
 }
 
 (* Resolve variable metadata through the function, then the program. *)
@@ -125,67 +124,69 @@ let build ?(prog : Prog.t option) (func : Func.t) : t =
     func.Func.body;
   let defs = Array.of_list (List.rev !defs) in
   let ndefs = Array.length defs in
-  (* GEN/KILL per node. *)
-  let gen = Hashtbl.create 64 and kill = Hashtbl.create 64 in
-  let empty () = Bitset.create ndefs in
-  Cfg.iter_rpo
-    (fun id node ->
-      let g = empty () and k = empty () in
-      (match node.Cfg.stmt with
-      | None ->
-          if id = Cfg.entry_id then List.iter (Bitset.add g) !entry_defs
-      | Some s ->
-          (match strong_def_of s with
+  (* Dense per-node tables indexed by RPO position.  KILL is the def mask
+     of the one variable a node strongly defines; GEN re-adds the node's
+     own definitions after that mask is cleared. *)
+  let order = Array.of_list cfg.Cfg.rpo in
+  let n = Array.length order in
+  let pos = Hashtbl.create n in
+  Array.iteri (fun k id -> Hashtbl.replace pos id k) order;
+  let masks : (int, Bitset.t) Hashtbl.t = Hashtbl.create 32 in
+  let mask_of v =
+    match Hashtbl.find_opt masks v with
+    | Some m -> m
+    | None ->
+        let m = Bitset.create ndefs in
+        List.iter (Bitset.add m)
+          (Option.value (Hashtbl.find_opt defs_of_var v) ~default:[]);
+        Hashtbl.replace masks v m;
+        m
+  in
+  let preds = Array.make n [||] in
+  let gen = Array.make n [] and kill = Array.make n None in
+  Array.iteri
+    (fun k id ->
+      let node = Cfg.node cfg id in
+      preds.(k) <-
+        Array.of_list (List.filter_map (Hashtbl.find_opt pos) node.Cfg.preds);
+      match node.Cfg.stmt with
+      | None -> if id = Cfg.entry_id then gen.(k) <- !entry_defs
+      | Some s -> (
+          let weak =
+            Option.value (Hashtbl.find_opt weak_of_stmt s.Stmt.id) ~default:[]
+          in
+          match strong_def_of s with
           | Some (v, _) ->
-              let own = Hashtbl.find strong_index s.Stmt.id in
-              Bitset.add g own;
-              List.iter
-                (fun di -> if di <> own then Bitset.add k di)
-                (Option.value (Hashtbl.find_opt defs_of_var v) ~default:[])
-          | None -> ());
-          match Hashtbl.find_opt weak_of_stmt s.Stmt.id with
-          | Some ws -> List.iter (Bitset.add g) ws
-          | None -> ());
-      Hashtbl.replace gen id g;
-      Hashtbl.replace kill id k)
-    cfg;
-  (* Fixpoint: IN[n] = ∪ OUT[p], OUT = gen ∪ (IN \ kill). *)
-  let ins = Hashtbl.create 64 in
-  let outs = Hashtbl.create 64 in
-  Cfg.iter_rpo
-    (fun id _ ->
-      Hashtbl.replace ins id (empty ());
-      Hashtbl.replace outs id (empty ()))
-    cfg;
+              gen.(k) <- Hashtbl.find strong_index s.Stmt.id :: weak;
+              kill.(k) <- Some (mask_of v)
+          | None -> gen.(k) <- weak))
+    order;
+  (* Fixpoint: IN[n] = ∪ OUT[p], OUT = gen ∪ (IN \ kill).  Both grow
+     monotonically from empty, so OUT is accumulated by union. *)
+  let ins = Array.init n (fun _ -> Bitset.create ndefs) in
+  let outs = Array.init n (fun _ -> Bitset.create ndefs) in
+  let scratch = Bitset.create ndefs in
   let changed = ref true in
   while !changed do
     changed := false;
-    Cfg.iter_rpo
-      (fun id node ->
-        let in_ = Hashtbl.find ins id in
-        List.iter
-          (fun p ->
-            match Hashtbl.find_opt outs p with
-            | Some out_p -> ignore (Bitset.union_into in_ out_p)
-            | None -> ())
-          node.Cfg.preds;
-        let out = Bitset.copy in_ in
-        Bitset.transfer ~gen:(Hashtbl.find gen id)
-          ~kill:(Hashtbl.find kill id) out;
-        if not (Bitset.equal out (Hashtbl.find outs id)) then begin
-          changed := true;
-          Hashtbl.replace outs id out
-        end)
-      cfg
+    for k = 0 to n - 1 do
+      let in_ = ins.(k) in
+      Array.iter (fun p -> ignore (Bitset.union_into in_ outs.(p))) preds.(k);
+      Bitset.blit ~src:in_ ~dst:scratch;
+      (match kill.(k) with Some m -> Bitset.diff_into scratch m | None -> ());
+      List.iter (Bitset.add scratch) gen.(k);
+      if Bitset.union_into outs.(k) scratch then changed := true
+    done
   done;
-  { cfg; func; prog; defs; defs_of_var; unsafe; ins; tracked }
+  { func; prog; defs; defs_of_var; unsafe; pos; ins }
 
 (* Definitions of [var] reaching the *entry* of the statement node
    [stmt_id] (i.e. visible to uses in that statement). *)
 let reaching t ~stmt_id ~var : reach =
-  match Hashtbl.find_opt t.ins stmt_id with
+  match Hashtbl.find_opt t.pos stmt_id with
   | None -> Unknown  (* unreachable statement *)
-  | Some in_ ->
+  | Some k ->
+      let in_ = t.ins.(k) in
       let volatile =
         match find_var_meta ?prog:t.prog t.func var with
         | Some v -> v.volatile
@@ -212,43 +213,6 @@ let unique_def t ~stmt_id ~var =
   match reaching t ~stmt_id ~var with
   | Defs [ d ] when d.d_stmt <> entry_def_stmt -> Some d
   | Defs _ | Unknown -> None
-
-(* Is every reaching definition of [var] at [stmt_id] outside the
-   statement-id set [inside]? *)
-let all_defs_outside t ~stmt_id ~var ~inside =
-  match reaching t ~stmt_id ~var with
-  | Unknown -> false
-  | Defs ds ->
-      List.for_all
-        (fun d ->
-          d.d_stmt = entry_def_stmt || not (Hashtbl.mem inside d.d_stmt))
-        ds
-
-(* def-use chains: map def index -> list of (stmt id, var) uses it
-   reaches.  Used by constant propagation's requeue heuristic (§8). *)
-let def_uses t =
-  let uses : (int, (int * int) list) Hashtbl.t = Hashtbl.create 64 in
-  Cfg.iter_rpo
-    (fun id node ->
-      match node.Cfg.stmt with
-      | None -> ()
-      | Some s ->
-          List.iter
-            (fun var ->
-              match reaching t ~stmt_id:id ~var with
-              | Unknown -> ()
-              | Defs ds ->
-                  List.iter
-                    (fun d ->
-                      Hashtbl.replace uses d.d_index
-                        ((s.Stmt.id, var)
-                        :: Option.value
-                             (Hashtbl.find_opt uses d.d_index)
-                             ~default:[]))
-                    ds)
-            (Stmt.shallow_uses s))
-    t.cfg;
-  uses
 
 (* Variables (strongly) defined anywhere within a statement list, plus
    whether the list writes memory — the ingredients of loop-invariance. *)

@@ -48,14 +48,6 @@ val reaching : t -> stmt_id:int -> var:int -> reach
     real statement. *)
 val unique_def : t -> stmt_id:int -> var:int -> def option
 
-(** Does no definition inside the statement-id set [inside] reach the
-    use? *)
-val all_defs_outside :
-  t -> stmt_id:int -> var:int -> inside:(int, unit) Hashtbl.t -> bool
-
-(** def-use chains: def index → (stmt id, var) uses it reaches. *)
-val def_uses : t -> (int, (int * int) list) Hashtbl.t
-
 (** Variables strongly defined in a statement list, and whether it writes
     memory — the ingredients of loop invariance. *)
 val vars_defined_in : Stmt.t list -> (int, unit) Hashtbl.t * bool

@@ -1,4 +1,5 @@
-(** Dense mutable bitsets for dataflow IN/OUT vectors. *)
+(** Dense mutable bitsets for dataflow IN/OUT vectors, stored as
+    [Sys.int_size]-bit words. *)
 
 type t
 
@@ -11,8 +12,14 @@ val add : t -> int -> unit
 val remove : t -> int -> unit
 val equal : t -> t -> bool
 
+(** [blit ~src ~dst]: [dst := src]; both sets have the same universe. *)
+val blit : src:t -> dst:t -> unit
+
 (** [union_into a b]: [a := a ∪ b]; returns [true] if [a] changed. *)
 val union_into : t -> t -> bool
+
+(** [diff_into a b]: [a := a \ b]. *)
+val diff_into : t -> t -> unit
 
 (** [transfer ~gen ~kill a]: [a := (a \ kill) ∪ gen], the dataflow
     transfer function. *)

@@ -289,43 +289,45 @@ let convert_loop (prog : Prog.t) (func : Func.t)
                           };
                         ])))
 
-(* Convert every eligible while loop in the function, innermost last so
-   [Reaching] info stays valid per conversion round (we rebuild use-def
-   chains after each change — the paper updates them incrementally; we
-   trade compile time for simplicity and note it in DESIGN.md). *)
+(* Convert every eligible while loop in one pre-order walk against a
+   single [Reaching] build, continuing into each new DO body.  The paper
+   repairs the use-def graph as each loop converts (§5.2); here the one
+   build stays exact without repair: [Cfg] wires [While] and [Do_loop]
+   with the same edges and a conversion keeps the loop's statement id,
+   the only new definitions are of the fresh [limit] and [dummy]
+   temporaries, which no other loop's checks read, and the unsafe set is
+   unchanged. *)
 let run ?(stats = new_stats ()) (prog : Prog.t) (func : Func.t) =
-  let changed_any = ref false in
-  let continue_ = ref true in
-  let rounds = ref 0 in
-  while !continue_ && !rounds < 50 do
-    incr rounds;
-    let ud = Vpc_analysis.Reaching.build ~prog func in
-    let changed = ref false in
-    let rec walk stmts = List.concat_map walk_stmt stmts
-    and walk_stmt (s : Stmt.t) : Stmt.t list =
-      match s.Stmt.desc with
-      | Stmt.While (li, cond, body) when not !changed -> (
-          match
-            convert_loop prog func ud stats s
-              ~independent:li.Stmt.pragma_independent cond body
-          with
-          | Some replacement ->
-              changed := true;
-              (* convert outer first; inner loops get their own round *)
-              replacement
-          | None -> (
-              match s.Stmt.desc with
-              | Stmt.While (li, c, body) ->
-                  [ { s with desc = Stmt.While (li, c, walk body) } ]
-              | _ -> [ s ]))
-      | Stmt.While (li, c, body) ->
-          [ { s with desc = Stmt.While (li, c, walk body) } ]
-      | Stmt.If (c, t, e) -> [ { s with desc = Stmt.If (c, walk t, walk e) } ]
-      | Stmt.Do_loop d ->
-          [ { s with desc = Stmt.Do_loop { d with body = walk d.body } } ]
-      | _ -> [ s ]
-    in
-    func.Func.body <- walk func.Func.body;
-    if !changed then changed_any := true else continue_ := false
-  done;
-  !changed_any
+  let has_while = ref false in
+  Stmt.iter_list
+    (fun s ->
+      match s.Stmt.desc with Stmt.While _ -> has_while := true | _ -> ())
+    func.Func.body;
+  if not !has_while then false
+  else
+  let ud = Vpc_analysis.Reaching.build ~prog func in
+  let changed = ref false in
+  let rec walk stmts = List.concat_map walk_stmt stmts
+  and walk_stmt (s : Stmt.t) : Stmt.t list =
+    match s.Stmt.desc with
+    | Stmt.While (li, cond, body) -> (
+        match
+          convert_loop prog func ud stats s
+            ~independent:li.Stmt.pragma_independent cond body
+        with
+        | Some replacement ->
+            changed := true;
+            walk replacement
+        | None -> [ { s with desc = Stmt.While (li, cond, walk body) } ])
+    | Stmt.If (c, t, e) ->
+        (* else arm first: this fixes the numbering of fresh temps,
+           which shows in the optimized IL *)
+        let e = walk e in
+        let t = walk t in
+        [ { s with desc = Stmt.If (c, t, e) } ]
+    | Stmt.Do_loop d ->
+        [ { s with desc = Stmt.Do_loop { d with body = walk d.body } } ]
+    | _ -> [ s ]
+  in
+  func.Func.body <- walk func.Func.body;
+  !changed

@@ -23,5 +23,7 @@ type stats = {
 
 val new_stats : unit -> stats
 
-(** Convert every eligible while loop; [true] if any converted. *)
+(** Convert every eligible while loop in one pre-order walk over a single
+    use-def build (none when the function has no [while]); [true] if any
+    converted. *)
 val run : ?stats:stats -> Prog.t -> Func.t -> bool

@@ -295,6 +295,105 @@ let unreachable_postpass () =
   check_not_contains "dead return dropped" ~needle:"111" il;
   Alcotest.(check string) "semantics" "222\n" (interp_output (Helpers.compile src2))
 
+let unreachable_exit_liveness () =
+  (* no path reaches the exit: liveness must still build and answer *)
+  let src = read_file "fixtures/unreachable_exit.c" in
+  let _, f = prog_func src "main" in
+  let live = Analysis.Liveness.build f in
+  let x_id =
+    List.find_map
+      (fun (v : Il.Var.t) -> if v.name = "x" then Some v.id else None)
+      (Il.Func.locals f)
+    |> Option.get
+  in
+  let stmt_where p = (List.find p (Il.Func.all_stmts f)).Il.Stmt.id in
+  let init =
+    stmt_where (fun s ->
+        match s.desc with
+        | Il.Stmt.Assign (Il.Stmt.Lvar v, { desc = Il.Expr.Const_int _; _ }) ->
+            v = x_id
+        | _ -> false)
+  in
+  let back_edge =
+    stmt_where (fun s ->
+        match s.desc with Il.Stmt.Goto _ -> true | _ -> false)
+  in
+  Alcotest.(check bool) "x live after x = 0" true
+    (Analysis.Liveness.live_out_of live ~stmt_id:init ~var:x_id);
+  Alcotest.(check bool) "x live around the back edge" true
+    (Analysis.Liveness.live_out_of live ~stmt_id:back_edge ~var:x_id)
+
+(* Every answer of the dense-array solvers equals the reference
+   list/Hashtbl solvers' ([Dataflow_reference]) for every (statement,
+   variable) pair of every function, after every pass of the -O3
+   pipeline over each example and a few generated programs. *)
+let solvers_match_reference () =
+  let module Ref = Dataflow_reference in
+  let check_func prog stage (f : Il.Func.t) =
+    let ud = Analysis.Reaching.build ~prog f in
+    let ref_ud = Ref.reaching_build ~prog f in
+    let live = Analysis.Liveness.build f in
+    let ref_live = Ref.liveness_build f in
+    let vars = Hashtbl.create 64 in
+    let note v = Hashtbl.replace vars v () in
+    List.iter note f.Il.Func.params;
+    List.iter (fun (v : Il.Var.t) -> note v.id) (Il.Func.locals f);
+    let stmts = Il.Func.all_stmts f in
+    List.iter
+      (fun (s : Il.Stmt.t) ->
+        List.iter
+          (fun e ->
+            List.iter note (Il.Expr.read_vars e);
+            List.iter note (Il.Expr.vars_addressed [] e))
+          (Il.Stmt.shallow_exprs s);
+        Option.iter note (Analysis.Liveness.def_of s))
+      stmts;
+    let where (s : Il.Stmt.t) v what =
+      Printf.sprintf "%s: %s stmt %d var %d %s" stage f.Il.Func.name s.id v what
+    in
+    List.iter
+      (fun (s : Il.Stmt.t) ->
+        Hashtbl.iter
+          (fun v () ->
+            let stmt_id = s.id and var = v in
+            if
+              Analysis.Reaching.reaching ud ~stmt_id ~var
+              <> Ref.reaching ref_ud ~stmt_id ~var
+            then Alcotest.fail (where s v "reaching");
+            if
+              Analysis.Reaching.unique_def ud ~stmt_id ~var
+              <> Ref.unique_def ref_ud ~stmt_id ~var
+            then Alcotest.fail (where s v "unique_def");
+            if
+              Analysis.Liveness.live_out_of live ~stmt_id ~var
+              <> Ref.live_out_of ref_live ~stmt_id ~var
+            then Alcotest.fail (where s v "live_out_of"))
+          vars)
+      stmts
+  in
+  let sources =
+    ("unreachable_exit", read_file "fixtures/unreachable_exit.c")
+    :: (Sys.readdir "../examples" |> Array.to_list
+       |> List.filter (fun f -> Filename.check_suffix f ".c")
+       |> List.sort compare
+       |> List.map (fun f -> (f, read_file (Filename.concat "../examples" f))))
+    @ List.init 8 (fun seed ->
+          (Printf.sprintf "generated %d" seed, Gen_c.program (seed + 1)))
+  in
+  List.iter
+    (fun (name, src) ->
+      let prog = Vpc.parse src in
+      let checked = ref 0 in
+      let dump stage _text =
+        incr checked;
+        List.iter
+          (check_func prog (name ^ " after " ^ stage))
+          prog.Il.Prog.funcs
+      in
+      ignore (Vpc.optimize ~options:{ Vpc.o3 with dump = Some dump } prog);
+      Alcotest.(check bool) (name ^ ": passes checked") true (!checked > 0))
+    sources
+
 let tests =
   [
     Alcotest.test_case "cfg if structure" `Quick cfg_structure;
@@ -313,4 +412,7 @@ let tests =
     Alcotest.test_case "dce semantics" `Quick dce_semantics_preserved;
     Alcotest.test_case "liveness loop carried" `Quick liveness_loop_carried;
     Alcotest.test_case "unreachable postpass (§8)" `Quick unreachable_postpass;
+    Alcotest.test_case "liveness with unreachable exit" `Quick
+      unreachable_exit_liveness;
+    Alcotest.test_case "solvers match reference" `Quick solvers_match_reference;
   ]

@@ -347,6 +347,22 @@ let test_daemon_roundtrip () =
       Alcotest.(check int) "second request is fully cached"
         r2.S.res_components r2.S.res_cached;
       checks "served bytes stable across the wire" r1.S.res_il r2.S.res_il;
+      (* a unit whose exit is unreachable is served, and the daemon
+         survives it to serve the next request *)
+      List.iter
+        (fun (name, src) ->
+          match
+            Vpc_server.Protocol.request ~socket:socket_path
+              (Vpc_server.Protocol.Compile (req ~name src))
+          with
+          | Vpc_server.Protocol.Compiled r ->
+              checkb (name ^ " served") true (r.S.res_funcs > 0)
+          | _ -> Alcotest.failf "expected a Compiled reply for %s" name)
+        [
+          ( "unreachable_exit.c",
+            Helpers.read_file "fixtures/unreachable_exit.c" );
+          ("stencil5.c", read_example "stencil5.c");
+        ];
       match
         Vpc_server.Protocol.request ~socket:socket_path Vpc_server.Protocol.Stats
       with

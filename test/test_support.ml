@@ -81,6 +81,102 @@ let bitset_union_transfer () =
   Bitset.transfer ~gen ~kill a;
   Alcotest.(check (list int)) "transfer" [ 2; 5 ] (Bitset.elements a)
 
+(* Bitset against a [bool array] model: random operation sequences over
+   three sets of one size, with sizes straddling the word boundaries. *)
+type bitset_op =
+  | Add of int * int          (* set, member *)
+  | Remove of int * int
+  | Union of int * int        (* dst, src *)
+  | Diff of int * int
+  | Transfer of int * int * int  (* gen, kill, dst *)
+  | Blit of int * int         (* src, dst *)
+
+let bitset_sizes = [ 0; 1; 62; 63; 64; 126; 127; 200 ]
+
+let bitset_model_prop =
+  let open QCheck.Gen in
+  let set = int_bound 2 in
+  let gen_case =
+    oneofl bitset_sizes >>= fun size ->
+    let member = int_bound (max 0 (size - 1)) in
+    let op =
+      let whole =
+        [
+          map2 (fun a b -> Union (a, b)) set set;
+          map2 (fun a b -> Diff (a, b)) set set;
+          map3 (fun g k a -> Transfer (g, k, a)) set set set;
+          map2 (fun a b -> Blit (a, b)) set set;
+        ]
+      in
+      if size = 0 then oneof whole
+      else
+        frequency
+          ([
+             (6, map2 (fun a i -> Add (a, i)) set member);
+             (2, map2 (fun a i -> Remove (a, i)) set member);
+           ]
+          @ List.map (fun g -> (1, g)) whole)
+    in
+    map (fun ops -> (size, ops)) (list_size (int_range 1 60) op)
+  in
+  let print (size, ops) =
+    Printf.sprintf "size %d, %d ops" size (List.length ops)
+  in
+  QCheck.Test.make ~count:300 ~name:"bitset matches bool-array model"
+    (QCheck.make ~print gen_case)
+    (fun (size, ops) ->
+      let sets = Array.init 3 (fun _ -> Bitset.create size) in
+      let model = Array.init 3 (fun _ -> Array.make size false) in
+      let agrees k =
+        let m = model.(k) and b = sets.(k) in
+        let members =
+          List.filter (fun i -> m.(i)) (List.init size Fun.id)
+        in
+        List.for_all (fun i -> Bitset.mem b i = m.(i)) (List.init size Fun.id)
+        && Bitset.elements b = members
+        && Bitset.cardinal b = List.length members
+        && Bitset.is_empty b = (members = [])
+      in
+      List.for_all
+        (fun op ->
+          let returned_ok =
+            match op with
+            | Add (a, i) ->
+                Bitset.add sets.(a) i;
+                model.(a).(i) <- true;
+                true
+            | Remove (a, i) ->
+                Bitset.remove sets.(a) i;
+                model.(a).(i) <- false;
+                true
+            | Union (a, b) ->
+                let before = Array.copy model.(a) in
+                Array.iteri (fun i x -> if x then model.(a).(i) <- true) model.(b);
+                Bitset.union_into sets.(a) sets.(b) = (before <> model.(a))
+            | Diff (a, b) ->
+                Bitset.diff_into sets.(a) sets.(b);
+                Array.iteri (fun i x -> if x then model.(a).(i) <- false) model.(b);
+                true
+            | Transfer (g, k, a) ->
+                Bitset.transfer ~gen:sets.(g) ~kill:sets.(k) sets.(a);
+                let gen = Array.copy model.(g) and kill = Array.copy model.(k) in
+                Array.iteri
+                  (fun i x -> model.(a).(i) <- (x && not kill.(i)) || gen.(i))
+                  model.(a);
+                true
+            | Blit (src, dst) ->
+                Bitset.blit ~src:sets.(src) ~dst:sets.(dst);
+                model.(dst) <- Array.copy model.(src);
+                true
+          in
+          returned_ok
+          && List.for_all agrees [ 0; 1; 2 ]
+          && List.for_all
+               (fun (a, b) ->
+                 Bitset.equal sets.(a) sets.(b) = (model.(a) = model.(b)))
+               [ (0, 1); (1, 2); (0, 2) ])
+        ops)
+
 let gensym_counters () =
   let g = Gensym.create () in
   Alcotest.(check int) "fresh 0" 0 (Gensym.fresh g);
@@ -107,6 +203,7 @@ let tests =
     QCheck_alcotest.to_alcotest sexp_prop;
     Alcotest.test_case "bitset basics" `Quick bitset_basics;
     Alcotest.test_case "bitset union/transfer" `Quick bitset_union_transfer;
+    QCheck_alcotest.to_alcotest bitset_model_prop;
     Alcotest.test_case "gensym" `Quick gensym_counters;
     Alcotest.test_case "loc" `Quick loc_merge;
   ]

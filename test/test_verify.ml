@@ -483,6 +483,18 @@ let cli_exit_codes () =
         (run_cli
            [ path; "-O"; "0"; "--no-run"; "-q"; "--inject-fault"; "bogus" ]))
 
+(* A function whose exit no path reaches once compiled at every
+   optimizing level (liveness used to assume a reachable exit). *)
+let cli_unreachable_exit () =
+  List.iter
+    (fun level ->
+      Alcotest.(check int)
+        (Printf.sprintf "unreachable exit compiles at -O%s (exit 0)" level)
+        0
+        (run_cli
+           [ "fixtures/unreachable_exit.c"; "-O"; level; "--no-run"; "-q" ]))
+    [ "1"; "2"; "3" ]
+
 let tests =
   [
     Alcotest.test_case "examples verify at every stage" `Slow examples_verify;
@@ -506,4 +518,5 @@ let tests =
     Alcotest.test_case "wrong-const passes verifier, changes output" `Quick
       wrong_const_invisible_to_verifier;
     Alcotest.test_case "titancc exit codes" `Slow cli_exit_codes;
+    Alcotest.test_case "titancc unreachable exit" `Quick cli_unreachable_exit;
   ]

@@ -257,8 +257,88 @@ let conversion_stats () =
     (fun f -> ignore (Vpc.Transform.While_to_do.run ~stats prog f))
     prog.Vpc.Il.Prog.funcs;
   Alcotest.(check int) "converted" 2 stats.converted;
-  Alcotest.(check bool) "rejected for branching out" true
-    (stats.rejected_branch_out >= 1)
+  (* one walk examines each loop exactly once *)
+  Alcotest.(check int) "rejected for branching out" 1 stats.rejected_branch_out
+
+(* A function with more loops than any fixed round budget: every one of
+   them converts, in one pass, and the program still computes the same. *)
+let many_loops () =
+  let n = 60 in
+  let loops =
+    List.init n (fun k ->
+        Printf.sprintf "  for (i = 0; i < n; i++) b[i] = b[i] * 3 + %d;" k)
+  in
+  let src =
+    String.concat "\n"
+      ([ "int b[64];"; "void f(int n) {"; "  int i;" ]
+      @ loops
+      @ [
+          "}";
+          "int main() {";
+          "  int i, s;";
+          "  f(64);";
+          "  s = 0;";
+          "  for (i = 0; i < 64; i++) s = s ^ (b[i] + i);";
+          "  printf(\"%d\\n\", s);";
+          "  return 0;";
+          "}";
+        ])
+  in
+  let prog = compile src in
+  let f = Vpc.Il.Prog.func_exn prog "f" in
+  let stats = Vpc.Transform.While_to_do.new_stats () in
+  Alcotest.(check bool) "changed" true
+    (Vpc.Transform.While_to_do.run ~stats prog f);
+  Alcotest.(check int) "every loop converted" n stats.converted;
+  let whiles = ref 0 in
+  Vpc.Il.Stmt.iter_list
+    (fun s ->
+      match s.Vpc.Il.Stmt.desc with
+      | Vpc.Il.Stmt.While _ -> incr whiles
+      | _ -> ())
+    f.Vpc.Il.Func.body;
+  Alcotest.(check int) "no while left" 0 !whiles;
+  let reference = interp_output (compile src) in
+  List.iter
+    (fun (lname, options) ->
+      Alcotest.(check string)
+        ("interpreter output at " ^ lname)
+        reference
+        (interp_output (compile ~options src)))
+    [ ("O1", Vpc.o1); ("O3", Vpc.o3) ]
+
+(* Fresh temporaries are numbered else arm first; the numbering shows in
+   the optimized IL, so it must not drift. *)
+let if_arms_numbering () =
+  let prog =
+    compile
+      {|float a[100];
+        void f(int n, int c) {
+          int i, j;
+          if (c) { for (i = 0; i < n; i++) a[i] = 1.0f; }
+          else { for (j = 0; j < n + 1; j++) a[j] = 2.0f; }
+        }|}
+  in
+  let f = Vpc.Il.Prog.func_exn prog "f" in
+  ignore (Vpc.Transform.While_to_do.run prog f);
+  let dummy_of arm =
+    List.find_map
+      (fun (s : Vpc.Il.Stmt.t) ->
+        match s.desc with Vpc.Il.Stmt.Do_loop d -> Some d.index | _ -> None)
+      arm
+  in
+  match
+    List.find_map
+      (fun (s : Vpc.Il.Stmt.t) ->
+        match s.desc with
+        | Vpc.Il.Stmt.If (_, t, e) -> Some (dummy_of t, dummy_of e)
+        | _ -> None)
+      f.Vpc.Il.Func.body
+  with
+  | Some (Some then_dummy, Some else_dummy) ->
+      Alcotest.(check bool) "else arm numbered first" true
+        (else_dummy < then_dummy)
+  | _ -> Alcotest.fail "expected a DO loop in each arm"
 
 let tests =
   [
@@ -281,4 +361,6 @@ let tests =
     Alcotest.test_case "reject &induction" `Quick reject_address_taken_induction;
     Alcotest.test_case "conversion semantics" `Quick semantics_suite;
     Alcotest.test_case "conversion stats" `Quick conversion_stats;
+    Alcotest.test_case "60 loops in one function" `Quick many_loops;
+    Alcotest.test_case "if arms numbered else first" `Quick if_arms_numbering;
   ]
