@@ -28,9 +28,9 @@ let new_stats () =
     range_folds = 0;
   }
 
-(* One substitution pass: returns true if anything changed. *)
-let substitute_pass (prog : Prog.t) (func : Func.t) stats =
-  let ud = Reaching.build ~prog func in
+(* One substitution pass over the use-def chains [ud] of the function's
+   current body: returns true if anything changed. *)
+let substitute_pass ud (func : Func.t) stats =
   let changed = ref false in
   let subst_in_stmt (s : Stmt.t) =
     let rewrite (e : Expr.t) =
@@ -167,17 +167,25 @@ let fold_pass ?range (func : Func.t) stats =
 
 let max_rounds = 25
 
+(* A round that folded nothing only rewrote expressions in place, so the
+   next round refreshes its use-def chains instead of rebuilding them
+   ({!Reaching.refresh} says when that is exact). *)
 let run ?(stats = new_stats ()) ?range (prog : Prog.t) (func : Func.t) =
   let any = ref false in
-  let rec go round =
+  let rec go round prev =
     if round < max_rounds then begin
-      let s = substitute_pass prog func stats in
+      let ud =
+        match Option.bind prev Reaching.refresh with
+        | Some ud -> ud
+        | None -> Reaching.build ~prog func
+      in
+      let s = substitute_pass ud func stats in
       let f = fold_pass ?range func stats in
       if s || f then begin
         any := true;
-        go (round + 1)
+        go (round + 1) (if f then None else Some ud)
       end
     end
   in
-  go 0;
+  go 0 None;
   !any

@@ -59,16 +59,11 @@ let remove_unused_labels (func : Func.t) =
 let max_rounds = 25
 
 let run ?(stats = new_stats ()) (func : Func.t) =
-  let any = ref false in
   let rec go round =
-    if round < max_rounds then begin
+    if round = max_rounds then `Capped
+    else
       let a = pass func stats in
       let b = remove_unused_labels func in
-      if a || b then begin
-        any := true;
-        go (round + 1)
-      end
-    end
+      if a || b then go (round + 1) else `Fixpoint
   in
-  go 0;
-  !any
+  go 0

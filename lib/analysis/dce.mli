@@ -9,5 +9,7 @@ type stats = { mutable removed : int }
 
 val new_stats : unit -> stats
 
-(** Run to fixpoint; [true] if anything was removed. *)
-val run : ?stats:stats -> Func.t -> bool
+(** Run to fixpoint, for at most 25 rounds.  [`Capped] when the cap
+    stopped it first (another run may remove more); after [`Fixpoint] a
+    new run over the unchanged body removes nothing. *)
+val run : ?stats:stats -> Func.t -> [ `Fixpoint | `Capped ]

@@ -30,7 +30,11 @@ type t = {
   prog : Prog.t option;
   defs : def array;
   defs_of_var : (int, int list) Hashtbl.t;
+  tracked : (int, unit) Hashtbl.t;
   unsafe : (int, unit) Hashtbl.t;
+  strong_index : (int, int) Hashtbl.t;  (* stmt id -> its strong def *)
+  weak_of_stmt : (int, int list) Hashtbl.t;  (* memory-writing stmts *)
+  nstmts : int;
   pos : (int, int) Hashtbl.t;  (* node id -> RPO position *)
   ins : Bitset.t array;        (* RPO position -> IN bitset *)
 }
@@ -56,9 +60,9 @@ let writes_memory (s : Stmt.t) =
   | Stmt.Assign (Stmt.Lmem _, _) | Stmt.Vector _ | Stmt.Call _ -> true
   | _ -> false
 
-let build ?(prog : Prog.t option) (func : Func.t) : t =
-  let cfg = Cfg.build func in
-  (* Collect tracked vars and unsafe vars. *)
+(* The variables the analysis tracks (read, addressed, defined, or a
+   parameter) and the unsafe subset of them. *)
+let collect_vars ?prog (func : Func.t) =
   let tracked = Hashtbl.create 32 in
   let unsafe = Hashtbl.create 16 in
   let mark_unsafe id = Hashtbl.replace unsafe id () in
@@ -88,6 +92,11 @@ let build ?(prog : Prog.t option) (func : Func.t) : t =
         (fun id () -> if Hashtbl.mem p.Prog.globals id then mark_unsafe id)
         tracked
   | None -> ());
+  (tracked, unsafe)
+
+let build ?(prog : Prog.t option) (func : Func.t) : t =
+  let cfg = Cfg.build func in
+  let tracked, unsafe = collect_vars ?prog func in
   (* Enumerate definitions. *)
   let defs = ref [] in
   let count = ref 0 in
@@ -107,8 +116,10 @@ let build ?(prog : Prog.t option) (func : Func.t) : t =
     tracked;
   let strong_index : (int, int) Hashtbl.t = Hashtbl.create 32 in
   let weak_of_stmt : (int, int list) Hashtbl.t = Hashtbl.create 16 in
+  let nstmts = ref 0 in
   Stmt.iter_list
     (fun s ->
+      incr nstmts;
       (match strong_def_of s with
       | Some (v, value) ->
           Hashtbl.replace strong_index s.Stmt.id (add_def s.Stmt.id v false value)
@@ -178,7 +189,53 @@ let build ?(prog : Prog.t option) (func : Func.t) : t =
       if Bitset.union_into outs.(k) scratch then changed := true
     done
   done;
-  { func; prog; defs; defs_of_var; unsafe; pos; ins }
+  {
+    func;
+    prog;
+    defs;
+    defs_of_var;
+    tracked;
+    unsafe;
+    strong_index;
+    weak_of_stmt;
+    nstmts = !nstmts;
+    pos;
+    ins;
+  }
+
+(* The CFG is purely structural, so a rewrite that keeps every statement's
+   id, constructor and place (only expressions change) leaves every IN set
+   and def site as they were; only the values of strong defs move.  That
+   holds exactly while the variable sets and the def-producing statements
+   are the build's: simplification may delete the only [&a] or a read, and
+   then the unsafe or tracked set, hence the def numbering, changes. *)
+let refresh t =
+  let same a b =
+    Hashtbl.length a = Hashtbl.length b
+    && Hashtbl.fold (fun k () ok -> ok && Hashtbl.mem b k) a true
+  in
+  let tracked, unsafe = collect_vars ?prog:t.prog t.func in
+  if not (same tracked t.tracked && same unsafe t.unsafe) then None
+  else begin
+    let defs = Array.copy t.defs in
+    let ok = ref true and nstmts = ref 0 and nstrong = ref 0 in
+    Stmt.iter_list
+      (fun s ->
+        incr nstmts;
+        (match strong_def_of s, Hashtbl.find_opt t.strong_index s.Stmt.id with
+        | Some (v, value), Some di when defs.(di).d_var = v ->
+            incr nstrong;
+            defs.(di) <- { (defs.(di)) with d_value = value }
+        | None, None -> ()
+        | _ -> ok := false);
+        if writes_memory s <> Hashtbl.mem t.weak_of_stmt s.Stmt.id then
+          ok := false)
+      t.func.Func.body;
+    if
+      !ok && !nstmts = t.nstmts && !nstrong = Hashtbl.length t.strong_index
+    then Some { t with defs }
+    else None
+  end
 
 (* Definitions of [var] reaching the *entry* of the statement node
    [stmt_id] (i.e. visible to uses in that statement). *)

@@ -41,6 +41,17 @@ val writes_memory : Stmt.t -> bool
     for variables not in the function's own table. *)
 val build : ?prog:Prog.t -> Func.t -> t
 
+(** The analysis of the function's current body, reusing [t]'s IN sets,
+    or [None] when that would not be exact.  Valid only after rewrites
+    that keep every statement's id, constructor and place and change
+    expressions alone (substitution, {!Simplify}): the CFG then has the
+    build's shape, and only the values of strong defs can differ.  Returns
+    [None] unless the tracked and unsafe variable sets, the statements
+    that strongly define each variable, and the memory-writing statements
+    are all the build's.  Entry definitions may be numbered differently
+    from a fresh {!build}; every answer is otherwise the same. *)
+val refresh : t -> t option
+
 (** Definitions of [var] visible to uses in statement [stmt_id]. *)
 val reaching : t -> stmt_id:int -> var:int -> reach
 

@@ -319,13 +319,17 @@ let rec optimize ?(options = default_options) ?(stats = new_stats ()) ?timer
   (* Symbolic ranges follow the same lifecycle: whole-program parameter
      seeding up front (and again after inlining), per-function dataflow
      on demand — optimization passes renumber statements, so each
-     consumer forces a fresh fenv over the function's current body. *)
+     consumer forces a fresh fenv over the function's current body.
+     Nothing reads the ranges before inlining replaces them (the inliner
+     consults points-to only), so an inlining compile seeds once, after. *)
   let analyze_range () =
     if options.range then
       Some (timed "range" (fun () -> Range.Range.analyze prog))
     else None
   in
-  let rt = ref (analyze_range ()) in
+  let rt =
+    ref (match options.inline with `None -> analyze_range () | _ -> None)
+  in
   let install_oracle () =
     match !pt with
     | None -> ()
@@ -397,9 +401,11 @@ let rec optimize ?(options = default_options) ?(stats = new_stats ()) ?timer
                 | Some env -> Range.Range.truth env c)
       in
       ignore (Analysis.Const_prop.run ~stats:stats.const_prop ?range prog f);
-      ignore (Analysis.Dce.run ~stats:stats.dce f);
-      ignore (Analysis.Unreachable.run ~stats:stats.unreachable f);
-      ignore (Analysis.Dce.run ~stats:stats.dce f);
+      let dce = Analysis.Dce.run ~stats:stats.dce f in
+      (* a second DCE finds work only in what the postpass changed, or
+         where the first one stopped at its round cap *)
+      if Analysis.Unreachable.run ~stats:stats.unreachable f || dce = `Capped
+      then ignore (Analysis.Dce.run ~stats:stats.dce f);
       after_pass f "scalar-cleanup"
     end
   in

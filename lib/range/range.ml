@@ -419,6 +419,28 @@ let havoc env id =
   let env = kill_mentions env id in
   { env with vals = IMap.remove id env.vals }
 
+(* {!havoc} every variable of [ids] in one sweep: their bindings go, and
+   every form that mentions any of them dies. *)
+let havoc_all env (ids : (int, unit) Hashtbl.t) =
+  let mentions_any (a : Affine.t) =
+    List.exists
+      (fun (s, c) ->
+        c <> 0
+        && match s with Affine.Svar v -> Hashtbl.mem ids v | Affine.Saddr _ -> false)
+      a.Affine.terms
+  in
+  let vals =
+    IMap.filter_map
+      (fun id v ->
+        if Hashtbl.mem ids id then None
+        else
+          match v.aff with
+          | Some a when mentions_any a -> Some { v with aff = None }
+          | _ -> Some v)
+      env.vals
+  in
+  { env with vals }
+
 (* ------------------------------------------------------------------ *)
 (* Expression evaluation                                               *)
 
@@ -766,11 +788,8 @@ type fctx = {
   assigned : (int, unit) Hashtbl.t;
 }
 
-let havoc_unsafe ctx env =
-  Hashtbl.fold (fun id () acc -> havoc acc id) ctx.unsafe env
-
-let havoc_assigned ctx env =
-  Hashtbl.fold (fun id () acc -> havoc acc id) ctx.assigned env
+let havoc_unsafe ctx env = havoc_all env ctx.unsafe
+let havoc_assigned ctx env = havoc_all env ctx.assigned
 
 let max_widen_rounds = 30
 
@@ -907,48 +926,49 @@ let analyze (prog : Prog.t) : t =
         (Func.all_stmts f))
     prog.Prog.funcs;
   let t = { params = Hashtbl.create 16 } in
-  (* Descending Kleene iteration from top: each round re-analyzes every
-     function under the previous round's summaries, then re-joins the
-     argument values seen at every visible call site.  Every prefix of
-     the descent over-approximates the concrete argument sets, so
-     stopping after a fixed number of rounds is sound. *)
-  for _round = 1 to 2 do
+  (* What one function contributes to its callees' summaries under the
+     current [t]: each visible direct call's callee, and the intervals of
+     its arguments, in statement order. *)
+  let contributions (f : Func.t) =
+    let fe = analyze_func t prog f in
+    List.filter_map
+      (fun s ->
+        match s.Stmt.desc with
+        | Stmt.Call (_, Stmt.Direct name, args) -> (
+            match Prog.find_func prog name, env_before fe s.Stmt.id with
+            | Some callee, Some env
+              when List.length callee.Func.params = List.length args ->
+                Some
+                  ( name,
+                    callee.Func.params,
+                    List.map (fun arg -> (eval env arg).itv) args )
+            | _ -> None)
+        | _ -> None)
+      (Func.all_stmts f)
+  in
+  (* Join every contribution into fresh summaries for [t]. *)
+  let summarize contribs =
     let next : (string, Interval.t IMap.t) Hashtbl.t = Hashtbl.create 16 in
-    let add_site callee (params : int list) (args : Expr.t list) env =
-      let cur =
-        match Hashtbl.find_opt next callee with
-        | Some m -> m
-        | None -> IMap.empty
-      in
-      let m =
-        List.fold_left2
-          (fun m pid arg ->
-            let itv = (eval env arg).itv in
-            let itv =
-              match IMap.find_opt pid m with
-              | Some prev -> Interval.join prev itv
-              | None -> itv
-            in
-            IMap.add pid itv m)
-          cur params args
-      in
-      Hashtbl.replace next callee m
-    in
     List.iter
-      (fun (f : Func.t) ->
-        let fe = analyze_func t prog f in
-        List.iter
-          (fun s ->
-            match s.Stmt.desc with
-            | Stmt.Call (_, Stmt.Direct name, args) -> (
-                match Prog.find_func prog name, env_before fe s.Stmt.id with
-                | Some callee, Some env
-                  when List.length callee.Func.params = List.length args ->
-                    add_site name callee.Func.params args env
-                | _ -> ())
-            | _ -> ())
-          (Func.all_stmts f))
-      prog.Prog.funcs;
+      (List.iter (fun (callee, params, itvs) ->
+           let cur =
+             match Hashtbl.find_opt next callee with
+             | Some m -> m
+             | None -> IMap.empty
+           in
+           let m =
+             List.fold_left2
+               (fun m pid itv ->
+                 let itv =
+                   match IMap.find_opt pid m with
+                   | Some prev -> Interval.join prev itv
+                   | None -> itv
+                 in
+                 IMap.add pid itv m)
+               cur params itvs
+           in
+           Hashtbl.replace next callee m))
+      contribs;
     Hashtbl.reset t.params;
     if not has_indirect then
       Hashtbl.iter
@@ -956,5 +976,25 @@ let analyze (prog : Prog.t) : t =
           (* only procedures whose callers are all visible *)
           if Hashtbl.mem called name then Hashtbl.replace t.params name m)
         next
-  done;
+  in
+  (* Descending Kleene iteration from top: each round re-analyzes every
+     function under the previous round's summaries, then re-joins the
+     argument values seen at every visible call site.  Every prefix of
+     the descent over-approximates the concrete argument sets, so
+     stopping after two rounds is sound.  [analyze_func] reads [t] only
+     through {!param_interval}, so a function whose parameters all stay
+     top (no summary: [main], an uncalled function, or any function once
+     the program calls indirectly) sees round 1's entry again, and round
+     2 reuses its round-1 contributions. *)
+  let round1 = List.map contributions prog.Prog.funcs in
+  summarize round1;
+  let entry_unchanged (f : Func.t) =
+    List.for_all
+      (fun pid -> Interval.is_top (param_interval t f.Func.name pid))
+      f.Func.params
+  in
+  summarize
+    (List.map2
+       (fun f c1 -> if entry_unchanged f then c1 else contributions f)
+       prog.Prog.funcs round1);
   t

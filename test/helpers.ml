@@ -9,6 +9,32 @@ let read_file path =
   close_in ic;
   s
 
+(* Compare [rows] with the non-comment lines of the golden table at
+   [path].  On a mismatch the computed table, under [path]'s own header
+   comments, is written to [actual] in the working directory and the test
+   fails listing the rows that differ. *)
+let check_golden ~path ~actual rows =
+  let lines = String.split_on_char '\n' (read_file path) in
+  let header = List.filter (fun l -> l <> "" && l.[0] = '#') lines in
+  let expected = List.filter (fun l -> l <> "" && l.[0] <> '#') lines in
+  if rows <> expected then begin
+    Out_channel.with_open_bin actual (fun oc ->
+        List.iter (fun l -> output_string oc (l ^ "\n")) (header @ rows));
+    let mismatches =
+      if List.length expected <> List.length rows then []
+      else
+        List.filter_map
+          (fun (e, a) ->
+            if e = a then None
+            else Some (Printf.sprintf "expected %s\ncomputed %s" e a))
+          (List.combine expected rows)
+    in
+    Alcotest.failf "%s: %d rows expected, %d computed\n%s\ncomputed table written to %s"
+      path (List.length expected) (List.length rows)
+      (String.concat "\n" mismatches)
+      (Filename.concat (Sys.getcwd ()) actual)
+  end
+
 let compile ?(options = Vpc.o0) src : Vpc.Il.Prog.t =
   fst (Vpc.compile ~options src)
 

@@ -327,6 +327,24 @@ let unreachable_exit_liveness () =
    list/Hashtbl solvers' ([Dataflow_reference]) for every (statement,
    variable) pair of every function, after every pass of the -O3
    pipeline over each example and a few generated programs. *)
+(* Every variable a function mentions: parameters, locals, and each
+   variable a statement reads, addresses or defines. *)
+let mentioned_vars (f : Il.Func.t) =
+  let vars = Hashtbl.create 64 in
+  let note v = Hashtbl.replace vars v () in
+  List.iter note f.Il.Func.params;
+  List.iter (fun (v : Il.Var.t) -> note v.id) (Il.Func.locals f);
+  List.iter
+    (fun (s : Il.Stmt.t) ->
+      List.iter
+        (fun e ->
+          List.iter note (Il.Expr.read_vars e);
+          List.iter note (Il.Expr.vars_addressed [] e))
+        (Il.Stmt.shallow_exprs s);
+      Option.iter note (Analysis.Liveness.def_of s))
+    (Il.Func.all_stmts f);
+  vars
+
 let solvers_match_reference () =
   let module Ref = Dataflow_reference in
   let check_func prog stage (f : Il.Func.t) =
@@ -334,20 +352,8 @@ let solvers_match_reference () =
     let ref_ud = Ref.reaching_build ~prog f in
     let live = Analysis.Liveness.build f in
     let ref_live = Ref.liveness_build f in
-    let vars = Hashtbl.create 64 in
-    let note v = Hashtbl.replace vars v () in
-    List.iter note f.Il.Func.params;
-    List.iter (fun (v : Il.Var.t) -> note v.id) (Il.Func.locals f);
+    let vars = mentioned_vars f in
     let stmts = Il.Func.all_stmts f in
-    List.iter
-      (fun (s : Il.Stmt.t) ->
-        List.iter
-          (fun e ->
-            List.iter note (Il.Expr.read_vars e);
-            List.iter note (Il.Expr.vars_addressed [] e))
-          (Il.Stmt.shallow_exprs s);
-        Option.iter note (Analysis.Liveness.def_of s))
-      stmts;
     let where (s : Il.Stmt.t) v what =
       Printf.sprintf "%s: %s stmt %d var %d %s" stage f.Il.Func.name s.id v what
     in
@@ -394,6 +400,124 @@ let solvers_match_reference () =
       Alcotest.(check bool) (name ^ ": passes checked") true (!checked > 0))
     sources
 
+(* Const-prop rounds that fold nothing reuse their use-def chains through
+   [Reaching.refresh]; it must answer exactly as a fresh build.  Every
+   example, fixture and a few generated programs, as parsed, go through
+   rounds of unique-def constant substitution plus [Simplify.expr] in
+   place (what such a round does); after each, a refresh that returns
+   [Some] must report for every (statement, variable) pair the same def
+   sites, with [Expr.equal] values, as [build].  refresh_guard.c
+   simplifies away the only [&a], so some refresh must also decline. *)
+let refresh_matches_build () =
+  let module R = Analysis.Reaching in
+  let same_site (x : R.def) (y : R.def) =
+    x.d_stmt = y.d_stmt && x.d_var = y.d_var && x.d_weak = y.d_weak
+    && Option.equal Il.Expr.equal x.d_value y.d_value
+  in
+  let same_reach a b =
+    match a, b with
+    | R.Unknown, R.Unknown -> true
+    | R.Defs xs, R.Defs ys ->
+        List.length xs = List.length ys && List.for_all2 same_site xs ys
+    | _ -> false
+  in
+  let refreshed = ref 0 and declined = ref 0 in
+  let check_func prog name (f : Il.Func.t) =
+    let substitute ud (s : Il.Stmt.t) =
+      let value (e : Il.Expr.t) =
+        match e.desc with
+        | Il.Expr.Var v -> (
+            match R.unique_def ud ~stmt_id:s.id ~var:v with
+            | Some { d_value = Some c; _ }
+              when Analysis.Simplify.is_propagation_constant c ->
+                Il.Expr.cast e.ty c
+            | _ -> e)
+        | _ -> e
+      in
+      [ Il.Stmt.map_exprs_shallow
+          (fun e -> Analysis.Simplify.expr (Il.Expr.map value e))
+          s ]
+    in
+    let rec round k ud =
+      if k < 4 then begin
+        f.Il.Func.body <- Il.Stmt.map_list (substitute ud) f.Il.Func.body;
+        match R.refresh ud with
+        | None -> incr declined
+        | Some r ->
+            incr refreshed;
+            let fresh = R.build ~prog f in
+            let vars = mentioned_vars f in
+            List.iter
+              (fun (s : Il.Stmt.t) ->
+                Hashtbl.iter
+                  (fun var () ->
+                    if
+                      not
+                        (same_reach
+                           (R.reaching r ~stmt_id:s.id ~var)
+                           (R.reaching fresh ~stmt_id:s.id ~var))
+                    then
+                      Alcotest.failf "%s: %s round %d stmt %d var %d" name
+                        f.Il.Func.name k s.id var)
+                  vars)
+              (Il.Func.all_stmts f);
+            round (k + 1) r
+      end
+    in
+    round 0 (R.build ~prog f)
+  in
+  let c_files dir =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".c")
+    |> List.sort compare
+    |> List.map (fun f -> (f, read_file (Filename.concat dir f)))
+  in
+  List.iter
+    (fun (name, src) ->
+      let prog = Vpc.parse src in
+      List.iter (check_func prog name) prog.Il.Prog.funcs)
+    (c_files "../examples" @ c_files "fixtures"
+    @ List.init 8 (fun seed ->
+          (Printf.sprintf "generated %d" seed, Gen_c.program (seed + 1))));
+  Alcotest.(check bool) "some refresh reused its build" true (!refreshed > 0);
+  Alcotest.(check bool) "some refresh declined" true (!declined > 0)
+
+(* IL of [fname] right after the first [pass] over it at [options]. *)
+let il_after_first ~options src pass fname =
+  let prog = Vpc.parse src in
+  let stage = Printf.sprintf "%s(%s)" pass fname in
+  let seen = ref None in
+  let dump st _text =
+    if st = stage && !seen = None then
+      seen := Some (Il.Pp.func_to_string prog (Il.Prog.func_exn prog fname))
+  in
+  ignore (Vpc.optimize ~options:{ options with dump = Some dump } prog);
+  match !seen with
+  | Some il -> il
+  | None -> Alcotest.failf "no %s stage" stage
+
+(* Simplifying [((int)&a) * 0] deletes the only [&a]: [a] stops being
+   unsafe, so the use-def chains of the next const-prop round must be
+   rebuilt, not refreshed, for [a]'s constant to reach the return. *)
+let refresh_guard_rebuilds () =
+  let il =
+    il_after_first ~options:Vpc.o1 (read_file "fixtures/refresh_guard.c")
+      "scalar-cleanup" "main"
+  in
+  check_contains "a + y + k folds" ~needle:"return 5;" il
+
+(* A 40-deep dead chain needs 40 DCE rounds: the first DCE stops at its
+   25-round cap, so scalar-cleanup must run the second even though the
+   unreachable-code postpass changes nothing. *)
+let dce_cap_reruns () =
+  let il =
+    il_after_first ~options:Vpc.o1 (read_file "fixtures/dce_chain.c")
+      "scalar-cleanup" "f"
+  in
+  check_not_contains "head of the chain" ~needle:"a1 =" il;
+  check_not_contains "tail of the chain" ~needle:"a40 =" il;
+  check_contains "the return stays" ~needle:"return p;" il
+
 let tests =
   [
     Alcotest.test_case "cfg if structure" `Quick cfg_structure;
@@ -415,4 +539,7 @@ let tests =
     Alcotest.test_case "liveness with unreachable exit" `Quick
       unreachable_exit_liveness;
     Alcotest.test_case "solvers match reference" `Quick solvers_match_reference;
+    Alcotest.test_case "refresh matches build" `Quick refresh_matches_build;
+    Alcotest.test_case "refresh guard rebuilds" `Quick refresh_guard_rebuilds;
+    Alcotest.test_case "dce cap reruns" `Quick dce_cap_reruns;
   ]

@@ -140,58 +140,46 @@ let char_truncation_insts () =
   check_contains "shift left" ~needle:"shl" asm;
   check_contains "arithmetic shift right" ~needle:"shr" asm
 
-(* Golden --dump-asm digests: every example at -O0..-O3 must emit the
-   listing whose MD5 test/fixtures/asm_golden.txt records, so a compile-
-   time change cannot silently change emitted code. *)
+(* Golden --dump-asm digests: every example, plus the many-procedure
+   fixture (call chains passing swapped pointer arguments, which no
+   example exercises; it is stress01_p17.c of
+   `perf/main.exe --workload stress --seed 1 --dump-corpus DIR`), at
+   -O0..-O3 must emit the listing whose MD5
+   test/fixtures/asm_golden.txt records, so a compile-time change cannot
+   silently change emitted code. *)
 let asm_golden_path = "fixtures/asm_golden.txt"
 
 let asm_golden_rows () =
-  Sys.readdir "../examples" |> Array.to_list
-  |> List.filter (fun f -> Filename.check_suffix f ".c")
-  |> List.sort compare
-  |> List.concat_map (fun file ->
+  let examples =
+    Sys.readdir "../examples" |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".c")
+    |> List.sort compare
+    |> List.map (Filename.concat "../examples")
+  in
+  examples @ [ "fixtures/multiproc17.c" ]
+  |> List.concat_map (fun path ->
          List.map
            (fun level ->
              let ic =
                Unix.open_process_args_in "../bin/titancc.exe"
                  [|
-                   "titancc"; Filename.concat "../examples" file; "-O";
-                   string_of_int level; "--dump-asm"; "--no-run"; "-q";
+                   "titancc"; path; "-O"; string_of_int level; "--dump-asm";
+                   "--no-run"; "-q";
                  |]
              in
              let asm = In_channel.input_all ic in
              (match Unix.close_process_in ic with
              | Unix.WEXITED 0 -> ()
-             | _ -> Alcotest.failf "titancc %s -O %d failed" file level);
+             | _ -> Alcotest.failf "titancc %s -O %d failed" path level);
              Printf.sprintf "%s O%d %s"
-               (Filename.chop_suffix file ".c")
+               (Filename.chop_suffix (Filename.basename path) ".c")
                level
                (Digest.to_hex (Digest.string asm)))
            [ 0; 1; 2; 3 ])
 
 let asm_golden () =
-  let lines = String.split_on_char '\n' (read_file asm_golden_path) in
-  let header = List.filter (fun l -> l <> "" && l.[0] = '#') lines in
-  let expected = List.filter (fun l -> l <> "" && l.[0] <> '#') lines in
-  let actual = asm_golden_rows () in
-  if actual <> expected then begin
-    let out = "asm_golden.actual" in
-    Out_channel.with_open_bin out (fun oc ->
-        List.iter (fun l -> output_string oc (l ^ "\n")) (header @ actual));
-    let mismatches =
-      if List.length expected <> List.length actual then
-        [ Printf.sprintf "%d rows expected, %d computed" (List.length expected)
-            (List.length actual) ]
-      else
-        List.filter_map
-          (fun (e, a) -> if e = a then None else Some ("computed " ^ a))
-          (List.combine expected actual)
-    in
-    Alcotest.failf "--dump-asm diverges from %s:\n%s\ncomputed table written to %s"
-      asm_golden_path
-      (String.concat "\n" mismatches)
-      (Filename.concat (Sys.getcwd ()) out)
-  end
+  check_golden ~path:asm_golden_path ~actual:"asm_golden.actual"
+    (asm_golden_rows ())
 
 let tests =
   [

@@ -376,6 +376,119 @@ let interp_rejects_zero_step () =
   | exception Il.Interp.Runtime_error _ -> ()
   | _ -> Alcotest.fail "expected a runtime error for a zero-step DO loop"
 
+(* A call or a store may change an unsafe variable, so it must also kill
+   every affine form that mentions it: [x = g + n] stops proving
+   [x - g == n] once [touch()] or [*p = 0] may have moved [g]. *)
+let havoc_kills_stale_forms () =
+  let prog =
+    Vpc.parse
+      {|
+int g;
+int sink;
+void touch(void) { g = g + 7; }
+int f(int n, int *p)
+{
+  int x;
+  x = g + n;
+  if (x - g == n) sink = 1;
+  touch();
+  if (x - g == n) sink = 2;
+  x = g + n;
+  *p = 0;
+  if (x - g == n) sink = 3;
+  return x;
+}
+int main() { return f(3, &sink); }
+|}
+  in
+  let f = Prog.func_exn prog "f" in
+  let fe = R.analyze_func (R.analyze prog) prog f in
+  let truths =
+    List.filter_map
+      (fun (s : Stmt.t) ->
+        match s.Stmt.desc with
+        | Stmt.If (c, _, _) ->
+            Some (Option.bind (R.env_before fe s.Stmt.id) (fun env -> R.truth env c))
+        | _ -> None)
+      (Func.all_stmts f)
+  in
+  Alcotest.(check (list (option bool)))
+    "proved before, unknown after the call and the store"
+    [ Some true; None; None ] truths
+
+(* ----------------------------------------------------------------- *)
+(* golden table                                                       *)
+(* ----------------------------------------------------------------- *)
+
+(* The whole-program analysis over every example and test fixture, as
+   parsed and as -O3 sees it right after inlining: each parameter
+   interval {!R.analyze} seeds, and per function an MD5 over the value
+   (interval and affine form) {!R.eval} gives every subexpression of
+   every statement, in the environment before that statement.
+   test/fixtures/range_golden.txt pins the table, so a faster analysis
+   must compute the same facts. *)
+let range_golden_rows () =
+  let sources =
+    List.concat_map
+      (fun dir ->
+        Sys.readdir dir |> Array.to_list
+        |> List.filter (fun f -> Filename.check_suffix f ".c")
+        |> List.sort compare
+        |> List.map (Filename.concat dir))
+      [ "../examples"; "fixtures" ]
+  in
+  let snapshot name stage prog =
+    let t = R.analyze prog in
+    List.concat_map
+      (fun (f : Func.t) ->
+        let params =
+          List.map
+            (fun pid ->
+              Printf.sprintf "%s %s param %s %d %s" name stage f.Func.name pid
+                (I.to_string (R.param_interval t f.Func.name pid)))
+            f.Func.params
+        in
+        let fe = R.analyze_func t prog f in
+        let facts = Buffer.create 1024 in
+        List.iter
+          (fun (s : Stmt.t) ->
+            match R.env_before fe s.Stmt.id with
+            | None -> Printf.bprintf facts "s%d -\n" s.Stmt.id
+            | Some env ->
+                List.iter
+                  (Expr.iter (fun (e : Expr.t) ->
+                       let v = R.eval env e in
+                       Printf.bprintf facts "s%d %s %s\n" s.Stmt.id
+                         (I.to_string v.R.itv)
+                         (match v.R.aff with
+                         | Some a -> A.to_string a
+                         | None -> "-")))
+                  (Stmt.shallow_exprs s))
+          (Func.all_stmts f);
+        params
+        @ [
+            Printf.sprintf "%s %s env %s %s" name stage f.Func.name
+              (Digest.to_hex (Digest.string (Buffer.contents facts)));
+          ])
+      prog.Prog.funcs
+  in
+  List.concat_map
+    (fun path ->
+      let name = Filename.chop_suffix (Filename.basename path) ".c" in
+      let prog = Vpc.parse (read_file path) in
+      let parsed = snapshot name "parsed" prog in
+      let inlined = ref [] in
+      let dump stage _text =
+        if stage = "inline" then inlined := snapshot name "inlined" prog
+      in
+      ignore (Vpc.optimize ~options:{ Vpc.o3 with dump = Some dump } prog);
+      parsed @ !inlined)
+    sources
+
+let range_golden () =
+  check_golden ~path:"fixtures/range_golden.txt" ~actual:"range_golden.actual"
+    (range_golden_rows ())
+
 let tests =
   [
     Alcotest.test_case "interval lattice" `Quick interval_lattice;
@@ -392,4 +505,6 @@ let tests =
     Alcotest.test_case "degenerate DO advisory" `Quick degenerate_do_advisory;
     Alcotest.test_case "interp rejects zero step" `Quick
       interp_rejects_zero_step;
+    Alcotest.test_case "havoc kills stale forms" `Quick havoc_kills_stale_forms;
+    Alcotest.test_case "golden table" `Quick range_golden;
   ]

@@ -311,16 +311,6 @@ let memory_edges () =
    speed-up. *)
 let golden_path = "fixtures/sim_golden.txt"
 
-let golden_header =
-  [
-    "# Titan simulator invariance table, checked by test/test_titan.ml";
-    "# (\"golden invariance\").  One row per example (device_poll excluded)";
-    "# x -O0/-O3 x -p 1/4 x seq/conservative/full: the Machine.metrics";
-    "# record, the MD5 of stdout and the return value.  On a mismatch the";
-    "# test writes the table it computed to sim_golden.actual in its";
-    "# working directory.";
-  ]
-
 let golden_rows () =
   let examples =
     Sys.readdir "../examples" |> Array.to_list
@@ -366,32 +356,7 @@ let golden_rows () =
     examples
 
 let golden_invariance () =
-  let expected =
-    read_file golden_path
-    |> String.split_on_char '\n'
-    |> List.filter (fun l -> l <> "" && l.[0] <> '#')
-  in
-  let actual = golden_rows () in
-  if actual <> expected then begin
-    let out = "sim_golden.actual" in
-    let oc = open_out_bin out in
-    List.iter (fun l -> output_string oc (l ^ "\n")) (golden_header @ actual);
-    close_out oc;
-    let rec first_diff = function
-      | e :: es, a :: as_ -> if e = a then first_diff (es, as_) else (e, a)
-      | e :: _, [] -> (e, "<missing>")
-      | [], a :: _ -> ("<missing>", a)
-      | [], [] -> ("", "")
-    in
-    let e, a = first_diff (expected, actual) in
-    Alcotest.failf
-      "simulator diverges from %s (%d rows expected, %d computed)\n\
-       expected: %s\n\
-       computed: %s\n\
-       computed table written to %s" golden_path (List.length expected)
-      (List.length actual) e a
-      (Filename.concat (Sys.getcwd ()) out)
-  end
+  check_golden ~path:golden_path ~actual:"sim_golden.actual" (golden_rows ())
 
 let tests =
   [
