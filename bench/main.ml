@@ -158,7 +158,7 @@ let e4 () =
   let ok = ref true in
   List.iter
     (fun (name, src, expect) ->
-      let prog = compile { Vpc.o1 with Vpc.strength_reduction = false } src in
+      let prog = compile { Vpc.o1 with Vpc.off = [ `Strength_reduction ] } src in
       let il = Vpc.Il.Pp.prog_to_string prog in
       let converted = contains ~needle:"do fortran" il in
       if converted <> expect then ok := false;
@@ -219,7 +219,7 @@ let e6 () =
     List.length (Vpc.Il.Func.all_stmts (Vpc.Il.Prog.func_exn prog name))
   in
   let no_opt =
-    compile { Vpc.o3 with Vpc.scalar_opt = false } Workloads.dead_daxpy
+    compile { Vpc.o3 with Vpc.off = [ `Scalar_opt ] } Workloads.dead_daxpy
   in
   let opt_prog, stats = Vpc.compile ~options:Vpc.o3 Workloads.dead_daxpy in
   row "  main after inlining, before cleanup: %3d statements\n"
@@ -289,7 +289,7 @@ let e9 () =
       (* dependence-driven scalar optimization without vectorization: the
          compiler's analysis is what licenses the full-overlap schedule *)
       let prog =
-        compile { Vpc.o2 with Vpc.vectorize = false; parallelize = false } src
+        compile { Vpc.o2 with Vpc.off = [ `Vectorize; `Parallelize ] } src
       in
       let cycles sched = (run ~sched ?entry ?args prog).metrics.cycles in
       let s = cycles Vpc.Titan.Machine.Sequential in
@@ -381,12 +381,11 @@ let a2 () =
         stats.vectorize.loops_vectorized r.metrics.cycles)
     [
       ("conservative (may-alias)",
-       { Vpc.o2 with Vpc.inline = `None; pointsto = false });
+       { Vpc.o2 with Vpc.off = [ `Pointsto ] });
       ("--noalias option",
-       { Vpc.o2 with Vpc.inline = `None; pointsto = false;
-         assume_noalias = true });
+       { Vpc.o2 with Vpc.off = [ `Pointsto ]; assume_noalias = true });
       ("points-to proves disjointness",
-       { Vpc.o2 with Vpc.inline = `None });
+       Vpc.o2);
       ("inlining exposes the arrays", Vpc.o3);
     ]
 
@@ -404,7 +403,7 @@ let a3 () =
         ~options:{ Vpc.Inline.Inline.default_options with
                    max_callee_stmts = max_stmts }
         ~stats:stats.inline prog;
-      ignore (Vpc.optimize ~options:{ Vpc.o2 with Vpc.inline = `None } ~stats prog);
+      ignore (Vpc.optimize ~options:Vpc.o2 ~stats prog);
       let r = run prog in
       row "  max callee stmts %-6d inlined=%d  vectorized=%d/4  %8d cycles\n"
         max_stmts stats.inline.calls_inlined stats.vectorize.loops_vectorized
@@ -486,15 +485,15 @@ let nest_exp () =
     let opts on =
       {
         Vpc.o3 with
-        Vpc.interchange = on;
-        fuse = on;
+        Vpc.off = (if on then [] else [ `Interchange; `Fuse ]);
         profile = Some data;
         verify = `Each_stage;
       }
     in
     let build on =
       let prog, stats = Vpc.compile ~options:(opts on) src in
-      (Vpc.run_titan ~config:cfg ~vreuse:(opts on).Vpc.vreuse prog, stats)
+      ( Vpc.run_titan ~config:cfg ~vreuse:(Vpc.enabled (opts on) `Vreuse) prog,
+        stats )
     in
     let r_off, _ = build false in
     let r_on, s_on = build true in
@@ -543,7 +542,7 @@ let reuse_exp () =
       let opts =
         {
           Vpc.o3 with
-          Vpc.vreuse;
+          Vpc.off = (if vreuse then [] else [ `Vreuse ]);
           profile = Some data;
           verify = `Each_stage;
         }
@@ -592,7 +591,13 @@ let ptr_exp () =
   let case name src ~procs =
     let cfg = machine ~procs () in
     let build pointsto =
-      let opts = { Vpc.o2 with Vpc.pointsto; verify = `Each_stage } in
+      let opts =
+        {
+          Vpc.o2 with
+          Vpc.off = (if pointsto then [] else [ `Pointsto ]);
+          verify = `Each_stage;
+        }
+      in
       let prog, stats = Vpc.compile ~options:opts src in
       (Vpc.run_titan ~config:cfg prog, stats)
     in
@@ -634,7 +639,13 @@ let range_exp () =
   let case name src ~procs =
     let cfg = machine ~procs () in
     let build range =
-      let opts = { Vpc.o2 with Vpc.range; verify = `Each_stage } in
+      let opts =
+        {
+          Vpc.o2 with
+          Vpc.off = (if range then [] else [ `Range ]);
+          verify = `Each_stage;
+        }
+      in
       let prog, stats = Vpc.compile ~options:opts src in
       (Vpc.run_titan ~config:cfg prog, stats)
     in
@@ -674,7 +685,10 @@ let doacross_exp () =
     "pipelined" "ratio" "stalls";
   let case name src ~procs =
     let build sync =
-      Vpc.compile ~options:{ Vpc.o2 with Vpc.doacross_sync = sync } src
+      Vpc.compile
+        ~options:
+          { Vpc.o2 with Vpc.off = (if sync then [] else [ `Doacross_sync ]) }
+        src
     in
     let prog_off, _ = build false in
     let prog_on, s_on = build true in

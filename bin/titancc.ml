@@ -16,9 +16,7 @@ let read_file path =
   close_in ic;
   s
 
-let run_compiler file opt_level inline_only no_parallel no_vectorize
-    no_interchange no_fuse no_vreuse no_doacross_sync no_pointsto no_range
-    lint why_scalar
+let run_compiler file opt_level inline_only disabled lint why_scalar
     assume_noalias vlen
     procs sched_name
     dump_stages
@@ -32,14 +30,7 @@ let run_compiler file opt_level inline_only no_parallel no_vectorize
       {
         Vpc_server.Service.opt_level;
         inline_only;
-        no_parallel;
-        no_vectorize;
-        no_interchange;
-        no_fuse;
-        no_vreuse;
-        no_doacross_sync;
-        no_pointsto;
-        no_range;
+        disabled = List.sort compare disabled;
         assume_noalias;
         vlen;
         catalogs;
@@ -128,31 +119,10 @@ let run_compiler file opt_level inline_only no_parallel no_vectorize
         | Vpc.Titan.Machine.Vi n -> exit (n land 0xFF)
         | Vpc.Titan.Machine.Vf _ -> exit 0)
     | None -> ());
-    let base =
-      match opt_level with
-      | 0 -> Vpc.o0
-      | 1 -> Vpc.o1
-      | 2 -> Vpc.o2
-      | _ -> Vpc.o3
-    in
+    (* the served compile's options, plus what stays local *)
     let options =
       {
-        base with
-        Vpc.inline =
-          (match inline_only with
-          | [] -> base.Vpc.inline
-          | names -> `Only names);
-        parallelize = base.Vpc.parallelize && not no_parallel;
-        vectorize = base.Vpc.vectorize && not no_vectorize;
-        interchange = base.Vpc.interchange && not no_interchange;
-        fuse = base.Vpc.fuse && not no_fuse;
-        vreuse = base.Vpc.vreuse && not no_vreuse;
-        doacross_sync = base.Vpc.doacross_sync && not no_doacross_sync;
-        pointsto = base.Vpc.pointsto && not no_pointsto;
-        range = base.Vpc.range && not no_range;
-        assume_noalias;
-        vlen;
-        catalogs;
+        (Vpc_server.Service.to_options copts) with
         dump =
           (if dump_stages then
              Some
@@ -160,7 +130,6 @@ let run_compiler file opt_level inline_only no_parallel no_vectorize
                  Printf.printf "=== after %s ===\n%s\n" stage text)
            else None);
         verify = (if verify_il then `Each_stage else `Off);
-        profile = Option.map Vpc.Profile.Data.load profile_use;
         report =
           (if report then Some (fun line -> Printf.eprintf "[pgo] %s\n" line)
            else None);
@@ -174,14 +143,15 @@ let run_compiler file opt_level inline_only no_parallel no_vectorize
       if timings then Some (Vpc.Support.Timing.create ()) else None
     in
     (* simulator-in-the-loop autotuning: --tune searches (and persists
-       winners), --tune-use replays a store, --no-tune forces both off;
-       the compile below replays through [`Use], so a --tune run's
-       artifact is exactly what a later --tune-use run reproduces *)
+       winners), --tune-use replays a store (already in [options]),
+       --no-tune forces both off; the compile below replays through
+       [`Use], so a --tune run's artifact is exactly what a later
+       --tune-use run reproduces *)
     let tuned_store =
       if no_tune then None
       else
-        match (tune_out, tune_use) with
-        | Some path, _ ->
+        match tune_out with
+        | Some path ->
             let existing = Vpc.Profile.Tuned.load_or_empty path in
             let stamp =
               1
@@ -218,8 +188,7 @@ let run_compiler file opt_level inline_only no_parallel no_vectorize
                  else 0.0)
             end;
             Some merged
-        | None, Some path -> Some (Vpc.Profile.Tuned.load_or_empty path)
-        | None, None -> None
+        | None -> None
     in
     let options =
       match tuned_store with
@@ -227,16 +196,7 @@ let run_compiler file opt_level inline_only no_parallel no_vectorize
       | Some s -> { options with Vpc.tune = `Use s }
     in
     let prog, stats = Vpc.compile ~options ?timer ~file src in
-    Option.iter
-      (fun t ->
-        Vpc.Support.Timing.report t stderr;
-        let hits, lookups = Vpc.Dependence.Test.cache_stats () in
-        Printf.eprintf "[timings] dependence memo: %d/%d hits (%.1f%%)\n"
-          hits lookups
-          (if lookups > 0 then
-             100.0 *. float_of_int hits /. float_of_int lookups
-           else 0.0))
-      timer;
+    Option.iter (fun t -> Vpc.Support.Timing.report t stderr) timer;
     (match inject_fault with
     | None -> ()
     | Some kind_name -> (
@@ -275,7 +235,7 @@ let run_compiler file opt_level inline_only no_parallel no_vectorize
              Format.printf "%a@." Vpc.Titan.Isa.pp_func f)
     end;
     if no_run then exit 0;
-    let result = Vpc.run_titan ~config ~vreuse:options.Vpc.vreuse prog in
+    let result = Vpc.run_titan ~config ~vreuse:(Vpc.enabled options `Vreuse) prog in
     print_string result.Vpc.Titan.Machine.stdout_text;
     if check then begin
       (* differential check against an independently compiled -O0
@@ -366,44 +326,19 @@ let inline_only_arg =
   Arg.(value & opt_all string [] & info [ "inline" ] ~docv:"NAME"
          ~doc:"Inline only the named functions")
 
-let no_parallel_arg =
-  Arg.(value & flag & info [ "no-parallel" ] ~doc:"Disable parallelization")
-
-let no_vectorize_arg =
-  Arg.(value & flag & info [ "no-vectorize" ] ~doc:"Disable vectorization")
-
-let no_interchange_arg =
-  Arg.(value & flag & info [ "no-interchange" ]
-         ~doc:"Disable loop interchange (nest reordering)")
-
-let no_fuse_arg =
-  Arg.(value & flag & info [ "no-fuse" ]
-         ~doc:"Disable loop fusion and strip sharing")
-
-let no_vreuse_arg =
-  Arg.(value & flag & info [ "no-vreuse" ]
-         ~doc:"Disable vector-register reuse (invariant Vload hoisting, \
-               Vstore-to-Vload forwarding, strip-resident accumulators)")
-
-let no_doacross_sync_arg =
-  Arg.(value & flag & info [ "no-doacross-sync" ]
-         ~doc:"Disable doacross pipelining of carried-dependence DO loops \
-               with post/wait synchronization (on by default at -O2 and \
-               above); such loops stay serial")
-
-let no_pointsto_arg =
-  Arg.(value & flag & info [ "no-pointsto" ]
-         ~doc:"Disable the interprocedural points-to and mod/ref analysis \
-               (on by default at -O2 and above); dependence testing, the \
-               race checker, and inline ranking fall back to worst-case \
-               aliasing")
-
-let no_range_arg =
-  Arg.(value & flag & info [ "no-range" ]
-         ~doc:"Disable the interprocedural symbolic range and \
-               scalar-evolution analysis (on by default at -O2 and above); \
-               dependence testing falls back to unknown symbolic distances \
-               and strip loops keep their runtime length guards")
+(* one off flag per {!Vpc.switches} row that declares one; the term
+   yields the names of those given *)
+let disabled_arg =
+  List.fold_left
+    (fun acc (r : Vpc.switch_row) ->
+      match r.Vpc.flag with
+      | None -> acc
+      | Some (off, doc) ->
+          Term.(
+            const (fun on rest -> if on then off :: rest else rest)
+            $ Arg.(value & flag & info [ off ] ~doc)
+            $ acc))
+    (Term.const []) Vpc.switches
 
 let lint_arg =
   Arg.(value & flag & info [ "lint" ]
@@ -541,9 +476,7 @@ let cmd =
   Cmd.v
     (Cmd.info "titancc" ~doc)
     Term.(
-      const run_compiler $ file_arg $ opt_arg $ inline_only_arg
-      $ no_parallel_arg $ no_vectorize_arg $ no_interchange_arg $ no_fuse_arg
-      $ no_vreuse_arg $ no_doacross_sync_arg $ no_pointsto_arg $ no_range_arg
+      const run_compiler $ file_arg $ opt_arg $ inline_only_arg $ disabled_arg
       $ lint_arg
       $ why_scalar_arg $ noalias_arg
       $ vlen_arg $ procs_arg

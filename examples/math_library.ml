@@ -73,7 +73,7 @@ let () =
      file is gone, so merge the library program in directly *)
   let client2 = Vpc.parse client_source in
   Vpc.Inline.Catalog.import ~into:client2 library;
-  ignore (Vpc.optimize ~options:{ Vpc.o3 with Vpc.inline = `None } client2);
+  ignore (Vpc.optimize ~options:{ Vpc.o3 with Vpc.off = [ `Inline ] } client2);
   let r2 = Vpc.run_titan client2 in
   Printf.printf "without inlining: %d cycles (%.1fx slower)\n"
     r2.metrics.cycles

@@ -38,7 +38,7 @@ let () =
     let options =
       {
         Vpc.o3 with
-        Vpc.interchange;
+        Vpc.off = (if interchange then [] else [ `Interchange ]);
         profile = Some profile;
         report =
           (if interchange then

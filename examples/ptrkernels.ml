@@ -51,7 +51,13 @@ let () =
      extra instructions behind overlap any more *)
   let config = { Vpc.Titan.Machine.default_config with procs = 4 } in
   let build pointsto =
-    let options = { Vpc.o2 with Vpc.pointsto; verify = `Each_stage } in
+    let options =
+      {
+        Vpc.o2 with
+        Vpc.off = (if pointsto then [] else [ `Pointsto ]);
+        verify = `Each_stage;
+      }
+    in
     let prog, stats = Vpc.compile ~options source in
     (Vpc.run_titan ~config prog, stats)
   in

@@ -32,7 +32,8 @@ let () =
   let config = { Vpc.Titan.Machine.default_config with procs = 1 } in
   let build vreuse =
     let prog, stats =
-      Vpc.compile ~options:{ Vpc.o3 with Vpc.vreuse; verify = `Each_stage } source
+      let off = if vreuse then [] else [ `Vreuse ] in
+      Vpc.compile ~options:{ Vpc.o3 with Vpc.off; verify = `Each_stage } source
     in
     (Vpc.run_titan ~config ~vreuse prog, stats)
   in

@@ -29,7 +29,8 @@ int main()
 let () =
   let config = { Vpc.Titan.Machine.default_config with procs = 4 } in
   let compile fuse =
-    Vpc.compile ~options:{ Vpc.o3 with Vpc.fuse } source
+    let off = if fuse then [] else [ `Fuse ] in
+    Vpc.compile ~options:{ Vpc.o3 with Vpc.off } source
   in
   let prog_on, stats = compile true in
   let prog_off, _ = compile false in

@@ -66,7 +66,13 @@ int main()
 let () =
   let config = { Vpc.Titan.Machine.default_config with procs = 4 } in
   let build range =
-    let options = { Vpc.o2 with Vpc.range; verify = `Each_stage } in
+    let options =
+      {
+        Vpc.o2 with
+        Vpc.off = (if range then [] else [ `Range ]);
+        verify = `Each_stage;
+      }
+    in
     let prog, stats = Vpc.compile ~options source in
     (Vpc.run_titan ~config prog, stats)
   in
@@ -88,7 +94,7 @@ let () =
      overlap: --why-scalar names the store/load pair it cannot separate *)
   let whys = ref [] in
   let options =
-    { Vpc.o2 with Vpc.range = false;
+    { Vpc.o2 with Vpc.off = [ `Range ];
       Vpc.why_scalar = Some (fun l -> whys := l :: !whys) }
   in
   ignore (Vpc.compile ~options source);

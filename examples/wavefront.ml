@@ -28,7 +28,8 @@ int main() {
 let () =
   let config = { Vpc.Titan.Machine.default_config with procs = 4 } in
   let compile doacross_sync =
-    Vpc.compile ~options:{ Vpc.o2 with Vpc.doacross_sync } source
+    let off = if doacross_sync then [] else [ `Doacross_sync ] in
+    Vpc.compile ~options:{ Vpc.o2 with Vpc.off } source
   in
   let prog_on, stats = compile true in
   let prog_off, _ = compile false in

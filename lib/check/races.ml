@@ -545,10 +545,15 @@ let check_parallel_do ctx (s : Stmt.t) (d : Stmt.do_loop) =
         body
     in
     if flat_assignments && lo_c = Some 0 && step_c = Some 1 then begin
-      (* the vectorizer's own representation: re-run the full graph *)
+      (* the vectorizer's own representation: re-run the full graph,
+         with the range oracle the vectorizer proved it under *)
+      let oracle =
+        { Test.interval = ctx.range_env s; Test.note = (fun _ _ -> ()) }
+      in
       let g =
-        Graph.build ~assume_noalias:noalias ~trip body ~index:d.Stmt.index
-          ~invariant
+        Test.with_oracle oracle (fun () ->
+            Graph.build ~assume_noalias:noalias ~trip:trip_hi body
+              ~index:d.Stmt.index ~invariant)
       in
       List.iter
         (fun (e : Graph.edge) ->

@@ -14,7 +14,11 @@
        → constant propagation → DCE → unreachable postpass
        → vectorize / parallelize (Allen-Kennedy distribution, §9)
        → scalar replacement (§6) → strength reduction (§6)
-       → final DCE *)
+       → final DCE
+
+   Two tables declare it: [switches] names every on/off switch with the
+   -O level that turns it on, and [passes] lists the per-function passes
+   in order, each gated on those switches. *)
 
 module Support = Vpc_support
 module Il = Vpc_il
@@ -41,35 +45,110 @@ type tune_plan = {
   tp_calls : (Support.Loc.t * bool) list;
 }
 
-let empty_plan = { tp_nests = []; tp_calls = [] }
+(* Fold (nest, configuration) pairs into a plan: each loop header of a
+   nest maps to its configuration, each call site in it to the
+   configuration's verdict for the callee.  Later pairs land in front,
+   and lookups take the first match. *)
+let plan_of pairs =
+  List.fold_left
+    (fun acc ((n : Tune.Fingerprint.nest), (cfg : Tune.Config.t)) ->
+      {
+        tp_nests =
+          List.map (fun l -> (l, cfg)) n.Tune.Fingerprint.loop_locs
+          @ acc.tp_nests;
+        tp_calls =
+          List.filter_map
+            (fun (site, callee) ->
+              Option.map
+                (fun v -> (site, v))
+                (List.assoc_opt callee cfg.Tune.Config.inline_calls))
+            n.Tune.Fingerprint.calls
+          @ acc.tp_calls;
+      })
+    { tp_nests = []; tp_calls = [] }
+    pairs
+
+(* The optimizer's on/off switches. *)
+type switch =
+  [ `Scalar_opt | `While_conversion | `Indvar_substitution
+  | `Strength_reduction | `Vectorize | `Parallelize | `Scalar_replacement
+  | `Doacross | `Doacross_sync | `Pointsto | `Range | `Inline | `Interchange
+  | `Fuse | `Vreuse ]
+
+type switch_row = {
+  switch : switch;
+  name : string;
+  level : int;  (* on from this -O level up *)
+  scout : bool;  (* kept by the scout compile that fingerprints nests *)
+  flag : (string * string) option;  (* titancc's off flag and its doc *)
+}
+
+(* The one declaration of every switch: -O levels, titancc's flags, the
+   compile service's option form, the scout subset, and {!tune}'s search
+   dimensions all derive from it. *)
+let switches =
+  let row ?(scout = false) ?flag switch name level =
+    { switch; name; level; scout; flag }
+  in
+  [
+    (* constant propagation + DCE + unreachable code (§8) *)
+    row `Scalar_opt "scalar-opt" 1 ~scout:true;
+    row `While_conversion "while-to-do" 1 ~scout:true;  (* §5.2 *)
+    row `Indvar_substitution "indvar" 1 ~scout:true;  (* §5.3 *)
+    row `Strength_reduction "strength-reduction" 1;  (* §6 *)
+    row `Vectorize "vectorize" 2
+      ~flag:("no-vectorize", "Disable vectorization");
+    row `Parallelize "parallelize" 2
+      ~flag:("no-parallel", "Disable parallelization");
+    row `Scalar_replacement "scalar-replacement" 2;  (* §6 *)
+    (* §10: parallelize pragma-marked list loops *)
+    row `Doacross "doacross" 2;
+    row `Doacross_sync "doacross-sync" 2
+      ~flag:
+        ( "no-doacross-sync",
+          "Disable doacross pipelining of carried-dependence DO loops with \
+           post/wait synchronization (on by default at -O2 and above); such \
+           loops stay serial" );
+    row `Pointsto "pointsto" 2 ~scout:true
+      ~flag:
+        ( "no-pointsto",
+          "Disable the interprocedural points-to and mod/ref analysis (on by \
+           default at -O2 and above); dependence testing, the race checker, \
+           and inline ranking fall back to worst-case aliasing" );
+    row `Range "range" 2 ~scout:true
+      ~flag:
+        ( "no-range",
+          "Disable the interprocedural symbolic range and scalar-evolution \
+           analysis (on by default at -O2 and above); dependence testing \
+           falls back to unknown symbolic distances and strip loops keep \
+           their runtime length guards" );
+    row `Inline "inline" 3 ~scout:true;
+    (* §7: reorder nest levels by cost model *)
+    row `Interchange "interchange" 3
+      ~flag:("no-interchange", "Disable loop interchange (nest reordering)");
+    (* §7: merge adjacent conformable loops *)
+    row `Fuse "fuse" 3
+      ~flag:("no-fuse", "Disable loop fusion and strip sharing");
+    row `Vreuse "vreuse" 3
+      ~flag:
+        ( "no-vreuse",
+          "Disable vector-register reuse (invariant Vload hoisting, \
+           Vstore-to-Vload forwarding, strip-resident accumulators)" );
+  ]
+
+let flag_switch name =
+  List.find_map
+    (fun r ->
+      match r.flag with Some (f, _) when f = name -> Some r.switch | _ -> None)
+    switches
 
 type options = {
-  inline : [ `None | `All | `Only of string list ];
-  doacross : bool;             (* §10: parallelize pragma-marked list loops *)
-  doacross_sync : bool;
-      (* pipeline carried-dependence DO loops across processors with
-         post/wait synchronization *)
-  scalar_opt : bool;           (* constant propagation + DCE + unreachable *)
-  while_conversion : bool;     (* §5.2 *)
-  indvar_substitution : bool;  (* §5.3 *)
-  vectorize : bool;
-  parallelize : bool;
-  interchange : bool;          (* §7: reorder nest levels by cost model *)
-  fuse : bool;                 (* §7: merge adjacent conformable loops *)
-  vreuse : bool;               (* vector-register reuse across strips *)
+  level : int;  (* -O level: every switch declared at or below it is on *)
+  off : switch list;  (* ...except these *)
+  inline_only : string list;
+      (* non-empty: inline only these callees, at any level *)
   vlen : int;
   assume_noalias : bool;       (* pointer params get Fortran semantics *)
-  scalar_replacement : bool;   (* §6 *)
-  strength_reduction : bool;   (* §6 *)
-  pointsto : bool;
-      (* interprocedural points-to + mod/ref analysis: resolves pointer
-         aliases the canonical decomposition cannot, bounds call effects
-         in the race checker, and ranks inline sites *)
-  range : bool;
-      (* interprocedural symbolic range + scalar-evolution analysis:
-         dependence tests work on symbolic distances, strip loops with
-         provable trip counts drop their length guards, and constant
-         propagation folds branches decided by disjoint ranges *)
   catalogs : string list;      (* procedure databases to import (§7) *)
   dump : (string -> string -> unit) option;  (* stage name, IL text *)
   verify : Check.Verify.level; (* IL verifier / translation validator *)
@@ -88,26 +167,18 @@ type options = {
          an empty store compile byte-identically to no tuning. *)
 }
 
-(* -O0: the naive translation. *)
-let o0 =
+let enabled options sw =
+  (not (List.mem sw options.off))
+  && ((List.find (fun r -> r.switch = sw) switches).level <= options.level
+     || (sw = `Inline && options.inline_only <> []))
+
+let at_level level =
   {
-    inline = `None;
-    doacross = false;
-    doacross_sync = false;
-    scalar_opt = false;
-    while_conversion = false;
-    indvar_substitution = false;
-    vectorize = false;
-    parallelize = false;
-    interchange = false;
-    fuse = false;
-    vreuse = false;
+    level;
+    off = [];
+    inline_only = [];
     vlen = 32;
     assume_noalias = false;
-    scalar_replacement = false;
-    strength_reduction = false;
-    pointsto = false;
-    range = false;
     catalogs = [];
     dump = None;
     verify = `Off;
@@ -117,32 +188,13 @@ let o0 =
     tune = `Off;
   }
 
-(* -O1: classical scalar optimization. *)
-let o1 =
-  {
-    o0 with
-    scalar_opt = true;
-    while_conversion = true;
-    indvar_substitution = true;
-    strength_reduction = true;
-  }
-
-(* -O2: vectorization and parallelization, no inlining. *)
-let o2 =
-  {
-    o1 with
-    vectorize = true;
-    parallelize = true;
-    scalar_replacement = true;
-    doacross = true;
-    doacross_sync = true;
-    pointsto = true;
-    range = true;
-  }
-
-(* -O3: everything, including automatic inlining and nest
-   restructuring (interchange + fusion). *)
-let o3 = { o2 with inline = `All; interchange = true; fuse = true; vreuse = true }
+(* -O0 is the naive translation; -O1 adds classical scalar optimization,
+   -O2 vectorization and parallelization, -O3 inlining and nest
+   restructuring. *)
+let o0 = at_level 0
+let o1 = at_level 1
+let o2 = at_level 2
+let o3 = at_level 3
 
 let default_options = o3
 
@@ -209,21 +261,15 @@ let after_pass ?pointsto ?range options prog (f : Il.Func.t) pass =
 
 (* The pass subset that shapes loop nests ahead of restructuring: what a
    scout compile runs so {!Tune.Fingerprint} sees the nests exactly as
-   the search driver did.  Restructuring, codegen-facing passes,
-   diagnostics, and tuning itself are off; inlining and the scalar
-   pipeline keep their static policy. *)
+   the search driver did.  Diagnostics and tuning itself are off. *)
 let scout_options options =
   {
     options with
-    vectorize = false;
-    parallelize = false;
-    interchange = false;
-    fuse = false;
-    vreuse = false;
-    doacross = false;
-    doacross_sync = false;
-    scalar_replacement = false;
-    strength_reduction = false;
+    off =
+      options.off
+      @ List.filter_map
+          (fun r -> if r.scout then None else Some r.switch)
+          switches;
     verify = `Off;
     dump = None;
     report = None;
@@ -231,251 +277,149 @@ let scout_options options =
     tune = `Off;
   }
 
-(* Run the optimization pipeline in place.  [timer] buckets the wall
-   time of each phase group for [--timings]. *)
-let rec optimize ?(options = default_options) ?(stats = new_stats ()) ?timer
-    (prog : Il.Prog.t) =
-  let timed phase f =
-    match timer with Some t -> Support.Timing.time t phase f | None -> f ()
-  in
-  (* Resolve the tuning request into a per-location plan before anything
-     mutates [prog]: [`Use] fingerprints a scout clone (which runs the
-     same prefix pipeline, including its own catalog import) and maps
-     matching store records back to this program's loops.  An empty store
-     resolves to no plan, so every hook below stays [None] and the
-     compile is byte-identical to an untuned one. *)
-  let plan =
-    match options.tune with
-    | `Off -> None
-    | `Plan p -> Some p
-    | `Use store ->
-        if Profile.Tuned.is_empty store then None
-        else
-          Some
-            (timed "tune" (fun () ->
-                 let clone = Il.Prog.clone prog in
-                 ignore (optimize ~options:(scout_options options) clone);
-                 let nests = Tune.Fingerprint.nests clone in
-                 List.fold_left
-                   (fun acc (n : Tune.Fingerprint.nest) ->
-                     match Profile.Tuned.find store n.Tune.Fingerprint.fp with
-                     | None -> acc
-                     | Some r -> (
-                         match
-                           Tune.Config.of_fields r.Profile.Tuned.fields
-                         with
-                         | exception _ -> acc (* unknown fields: skip *)
-                         | cfg ->
-                             {
-                               tp_nests =
-                                 List.map
-                                   (fun l -> (l, cfg))
-                                   n.Tune.Fingerprint.loop_locs
-                                 @ acc.tp_nests;
-                               tp_calls =
-                                 List.filter_map
-                                   (fun (site, callee) ->
-                                     match
-                                       List.assoc_opt callee
-                                         cfg.Tune.Config.inline_calls
-                                     with
-                                     | Some v -> Some (site, v)
-                                     | None -> None)
-                                   n.Tune.Fingerprint.calls
-                                 @ acc.tp_calls;
-                             }))
-                   empty_plan nests))
-  in
-  let nest_cfg loc =
-    match plan with None -> None | Some p -> List.assoc_opt loc p.tp_nests
-  in
-  let bool_gate get =
-    match plan with
-    | None -> None
-    | Some _ -> Some (fun loc -> Option.bind (nest_cfg loc) get)
-  in
-  let site_tune =
-    match plan with
-    | None -> None
-    | Some p -> Some (fun loc -> List.assoc_opt loc p.tp_calls)
-  in
-  timed "catalog-import" (fun () ->
-      List.iter
-        (fun file -> Inline.Catalog.import ~into:prog (Inline.Catalog.load file))
-        options.catalogs);
-  (* Whole-program points-to runs after catalog import so argument-to-
-     parameter bindings at known call sites are visible.  The verdicts
-     back the {!Dependence.Alias} oracle consulted wherever canonical
-     decomposition gives up; the oracle is process-global state, so it is
-     cleared on every exit path — a later compilation of a different
-     program must not see this one's graph.  Inlining rewrites bodies
-     wholesale, so the analysis is recomputed after it. *)
-  let analyze_pointsto () =
-    if options.pointsto then
-      Some (timed "pointsto" (fun () -> Pointsto.Pointsto.analyze prog))
-    else None
-  in
-  let pt = ref (analyze_pointsto ()) in
-  (* Symbolic ranges follow the same lifecycle: whole-program parameter
-     seeding up front (and again after inlining), per-function dataflow
-     on demand — optimization passes renumber statements, so each
-     consumer forces a fresh fenv over the function's current body.
-     Nothing reads the ranges before inlining replaces them (the inliner
-     consults points-to only), so an inlining compile seeds once, after. *)
-  let analyze_range () =
-    if options.range then
-      Some (timed "range" (fun () -> Range.Range.analyze prog))
-    else None
-  in
-  let rt =
-    ref (match options.inline with `None -> analyze_range () | _ -> None)
-  in
-  let install_oracle () =
-    match !pt with
-    | None -> ()
-    | Some t ->
-        Dependence.Alias.set_oracle (fun e1 e2 ->
-            match Pointsto.Pointsto.verdict t e1 e2 with
-            | Some `No_alias -> Some Dependence.Alias.No_alias
-            | Some (`Must_alias d) -> Some (Dependence.Alias.Must_alias d)
-            | None -> None)
-  in
-  install_oracle ();
-  Fun.protect ~finally:Dependence.Alias.clear_oracle @@ fun () ->
-  let after_prog_pass pass =
-    after_prog_pass ?pointsto:!pt ?range:!rt options prog pass
-  in
-  let after_pass f pass =
-    after_pass ?pointsto:!pt ?range:!rt options prog f pass
-  in
-  let inline_options only =
-    {
-      Inline.Inline.default_options with
-      only;
-      profile = options.profile;
-      pointsto = !pt;
-      report = options.report;
-      site_tune;
-    }
-  in
-  (match options.inline with
-  | `None -> ()
-  | `All ->
-      timed "inline" (fun () ->
-          Inline.Inline.expand ~options:(inline_options None)
-            ~stats:stats.inline prog);
-      pt := analyze_pointsto ();
-      rt := analyze_range ();
-      install_oracle ();
-      after_prog_pass "inline"
-  | `Only names ->
-      timed "inline" (fun () ->
-          Inline.Inline.expand
-            ~options:(inline_options (Some names))
-            ~stats:stats.inline prog);
-      pt := analyze_pointsto ();
-      rt := analyze_range ();
-      install_oracle ();
-      after_prog_pass "inline");
-  (* A lazy per-function dataflow over [f]'s body right now; [None]
-     facts for statements the fenv does not know (fresh ids, or a stale
-     body) keep every consumer conservative. *)
-  let range_env_at f =
-    match !rt with
-    | None -> fun _ -> None
-    | Some t ->
-        let fe = lazy (Range.Range.analyze_func t prog f) in
-        fun (s : Il.Stmt.t) -> Range.Range.env_before (Lazy.force fe) s.Il.Stmt.id
-  in
-  let scalar_cleanup f =
-    if options.scalar_opt then begin
-      let range =
-        match !rt with
-        | None -> None
-        | Some _ ->
-            let env_at = range_env_at f in
+(* What a per-function pass sees. *)
+type ctx = {
+  prog : Il.Prog.t;
+  options : options;
+  stats : stats;
+  plan : tune_plan option;
+  range : Range.Range.t option;  (* whole-program parameter seeding *)
+}
+
+let nest_cfg ctx loc =
+  Option.bind ctx.plan (fun p -> List.assoc_opt loc p.tp_nests)
+
+let bool_gate ctx get =
+  Option.map (fun _ loc -> Option.bind (nest_cfg ctx loc) get) ctx.plan
+
+(* A lazy per-function range dataflow over [f]'s body as it is now.
+   Passes renumber statements, so each consumer takes a fresh one;
+   [None] facts for statements the fenv does not know (fresh ids, or a
+   stale body) keep every consumer conservative. *)
+let range_env_at ctx f =
+  Option.map
+    (fun t ->
+      let fe = lazy (Range.Range.analyze_func t ctx.prog f) in
+      fun (s : Il.Stmt.t) ->
+        Range.Range.env_before (Lazy.force fe) s.Il.Stmt.id)
+    ctx.range
+
+let range_interval env_at s e =
+  match env_at s with
+  | None -> (None, None)
+  | Some env ->
+      let itv = Range.Range.interval_of_expr env e in
+      (itv.Range.Range.Interval.lo, itv.Range.Range.Interval.hi)
+
+(* A tuned nest's vectorizer decision, ahead of the static policy. *)
+let vectorize_tune ctx =
+  Option.map
+    (fun _ (s : Il.Stmt.t) ->
+      Option.bind (nest_cfg ctx s.Il.Stmt.loc) (fun (c : Tune.Config.t) ->
+          let choice keep par =
             Some
-              (fun s c ->
-                match env_at s with
-                | None -> None
-                | Some env -> Range.Range.truth env c)
+              {
+                Vectorize.Vectorize.keep_scalar = keep;
+                strip_parallel = par;
+                scalar_parallel = par;
+                chosen_vlen =
+                  Option.value c.Tune.Config.strip ~default:ctx.options.vlen;
+              }
+          in
+          match (c.Tune.Config.mode, c.Tune.Config.strip) with
+          | Some Tune.Config.Scalar, _ -> choice true false
+          | Some Tune.Config.Vector, _ -> choice false false
+          | Some Tune.Config.Parallel, _ -> choice false true
+          | None, Some _ -> choice false (enabled ctx.options `Parallelize)
+          | None, None -> None))
+    ctx.plan
+
+type pass = {
+  pass : string;  (* checkpoint stage and [--timings] bucket *)
+  gate : (switch -> bool) -> bool;  (* given which switches are on *)
+  run : ctx -> Il.Func.t -> unit;
+}
+
+(* A pass that runs while switch [sw] is on. *)
+let step pass sw run = { pass; gate = (fun on -> on sw); run }
+
+let scalar_cleanup =
+  step "scalar-cleanup" `Scalar_opt (fun ctx f ->
+      let stats = ctx.stats in
+      let range =
+        Option.map
+          (fun env_at s c ->
+            Option.bind (env_at s) (fun env -> Range.Range.truth env c))
+          (range_env_at ctx f)
       in
-      ignore (Analysis.Const_prop.run ~stats:stats.const_prop ?range prog f);
+      ignore
+        (Analysis.Const_prop.run ~stats:stats.const_prop ?range ctx.prog f);
       let dce = Analysis.Dce.run ~stats:stats.dce f in
       (* a second DCE finds work only in what the postpass changed, or
          where the first one stopped at its round cap *)
       if Analysis.Unreachable.run ~stats:stats.unreachable f || dce = `Capped
-      then ignore (Analysis.Dce.run ~stats:stats.dce f);
-      after_pass f "scalar-cleanup"
-    end
-  in
-  timed "transforms" (fun () ->
-  List.iter
-    (fun f ->
-      scalar_cleanup f;
-      if options.while_conversion then begin
-        ignore (Transform.While_to_do.run ~stats:stats.while_to_do prog f);
-        after_pass f "while-to-do"
-      end;
-      if options.indvar_substitution then begin
-        ignore (Transform.Indvar.run ~stats:stats.indvar prog f);
-        after_pass f "indvar-substitution"
-      end;
-      scalar_cleanup f;
-      if options.indvar_substitution then begin
-        ignore (Transform.Forward_sub.run ~stats:stats.forward_sub prog f);
-        after_pass f "forward-substitution";
-        scalar_cleanup f
-      end;
-      (* Nest restructuring (§7) runs on the cleaned-up DO-loop form,
-         before codegen: fusion first (merging nests exposes more
-         statements to one strip loop), then interchange (the merged
-         nest is reordered as a whole). *)
-      if options.fuse then begin
-        let fopts =
+      then ignore (Analysis.Dce.run ~stats:stats.dce f))
+
+(* The per-function pipeline, in order. *)
+let passes =
+  [
+    scalar_cleanup;
+    step "while-to-do" `While_conversion (fun ctx f ->
+        ignore
+          (Transform.While_to_do.run ~stats:ctx.stats.while_to_do ctx.prog f));
+    step "indvar-substitution" `Indvar_substitution (fun ctx f ->
+        ignore (Transform.Indvar.run ~stats:ctx.stats.indvar ctx.prog f));
+    scalar_cleanup;
+    step "forward-substitution" `Indvar_substitution (fun ctx f ->
+        ignore
+          (Transform.Forward_sub.run ~stats:ctx.stats.forward_sub ctx.prog f));
+    {
+      scalar_cleanup with
+      gate = (fun on -> on `Indvar_substitution && on `Scalar_opt);
+    };
+    (* Nest restructuring (§7) runs on the cleaned-up DO-loop form, before
+       codegen: fusion first (merging nests exposes more statements to one
+       strip loop), then interchange (the merged nest is reordered as a
+       whole). *)
+    step "fuse" `Fuse (fun ctx f ->
+        let o = ctx.options in
+        let options =
           {
-            Transform.Fuse.assume_noalias = options.assume_noalias;
-            parallelize = options.parallelize;
-            vlen = options.vlen;
-            profile = options.profile;
-            report = options.report;
-            tune = bool_gate (fun c -> c.Tune.Config.fuse);
+            Transform.Fuse.assume_noalias = o.assume_noalias;
+            parallelize = enabled o `Parallelize;
+            vlen = o.vlen;
+            profile = o.profile;
+            report = o.report;
+            tune = bool_gate ctx (fun c -> c.Tune.Config.fuse);
           }
         in
-        ignore (Transform.Fuse.run ~options:fopts ~stats:stats.fuse prog f);
-        after_pass f "fuse"
-      end;
-      if options.interchange then begin
-        let iopts =
+        ignore (Transform.Fuse.run ~options ~stats:ctx.stats.fuse ctx.prog f));
+    step "interchange" `Interchange (fun ctx f ->
+        let o = ctx.options in
+        let options =
           {
-            Transform.Interchange.assume_noalias = options.assume_noalias;
-            parallelize = options.parallelize;
-            vlen = options.vlen;
-            profile = options.profile;
-            report = options.report;
-            tune = bool_gate (fun c -> c.Tune.Config.interchange);
+            Transform.Interchange.assume_noalias = o.assume_noalias;
+            parallelize = enabled o `Parallelize;
+            vlen = o.vlen;
+            profile = o.profile;
+            report = o.report;
+            tune = bool_gate ctx (fun c -> c.Tune.Config.interchange);
           }
         in
         ignore
-          (Transform.Interchange.run ~options:iopts ~stats:stats.interchange
-             prog f);
-        after_pass f "interchange"
-      end;
-      if options.vectorize || options.parallelize then begin
-        let range_facts =
-          match !rt with
-          | None -> None
-          | Some _ ->
-              let env_at = range_env_at f in
-              Some
+          (Transform.Interchange.run ~options ~stats:ctx.stats.interchange
+             ctx.prog f));
+    {
+      pass = "vectorize";
+      gate = (fun on -> on `Vectorize || on `Parallelize);
+      run =
+        (fun ctx f ->
+          let o = ctx.options in
+          let range =
+            Option.map
+              (fun env_at ->
                 {
-                  Vectorize.Vectorize.rf_interval =
-                    (fun s e ->
-                      match env_at s with
-                      | None -> (None, None)
-                      | Some env ->
-                          let itv = Range.Range.interval_of_expr env e in
-                          (itv.Range.Range.Interval.lo, itv.Range.Range.Interval.hi));
+                  Vectorize.Vectorize.rf_interval = range_interval env_at;
                   rf_divisible =
                     (fun s e n ->
                       n > 0
@@ -492,136 +436,184 @@ let rec optimize ?(options = default_options) ?(stats = new_stats ()) ?timer
                               with
                               | Some k -> k mod n = 0
                               | None -> false)));
-                }
-        in
-        let vopts =
+                })
+              (range_env_at ctx f)
+          in
+          let options =
+            {
+              Vectorize.Vectorize.vectorize = enabled o `Vectorize;
+              parallelize = enabled o `Parallelize;
+              vlen = o.vlen;
+              assume_noalias = o.assume_noalias;
+              fuse_strips = enabled o `Fuse;
+              profile = o.profile;
+              report = o.report;
+              vreuse = enabled o `Vreuse;
+              why_scalar = o.why_scalar;
+              range;
+              tune = vectorize_tune ctx;
+            }
+          in
+          ignore
+            (Vectorize.Vectorize.run ~options ~stats:ctx.stats.vectorize
+               ctx.prog f));
+    };
+    step "vreuse" `Vreuse (fun ctx f ->
+        let o = ctx.options in
+        let options =
           {
-            Vectorize.Vectorize.vectorize = options.vectorize;
-            parallelize = options.parallelize;
-            vlen = options.vlen;
-            assume_noalias = options.assume_noalias;
-            fuse_strips = options.fuse;
-            profile = options.profile;
-            report = options.report;
-            vreuse = options.vreuse;
-            why_scalar = options.why_scalar;
-            range = range_facts;
-            tune =
-              (match plan with
-              | None -> None
-              | Some _ ->
-                  Some
-                    (fun (s : Il.Stmt.t) ->
-                      match nest_cfg s.Il.Stmt.loc with
-                      | None -> None
-                      | Some (c : Tune.Config.t) -> (
-                          let vlen =
-                            match c.Tune.Config.strip with
-                            | Some v -> v
-                            | None -> options.vlen
-                          in
-                          match c.Tune.Config.mode with
-                          | Some Tune.Config.Scalar ->
-                              Some
-                                {
-                                  Vectorize.Vectorize.keep_scalar = true;
-                                  strip_parallel = false;
-                                  scalar_parallel = false;
-                                  chosen_vlen = vlen;
-                                }
-                          | Some Tune.Config.Vector ->
-                              Some
-                                {
-                                  Vectorize.Vectorize.keep_scalar = false;
-                                  strip_parallel = false;
-                                  scalar_parallel = false;
-                                  chosen_vlen = vlen;
-                                }
-                          | Some Tune.Config.Parallel ->
-                              Some
-                                {
-                                  Vectorize.Vectorize.keep_scalar = false;
-                                  strip_parallel = true;
-                                  scalar_parallel = true;
-                                  chosen_vlen = vlen;
-                                }
-                          | None -> (
-                              match c.Tune.Config.strip with
-                              | None -> None
-                              | Some v ->
-                                  Some
-                                    {
-                                      Vectorize.Vectorize.keep_scalar = false;
-                                      strip_parallel = options.parallelize;
-                                      scalar_parallel = options.parallelize;
-                                      chosen_vlen = v;
-                                    }))));
+            Transform.Vreuse.assume_noalias = o.assume_noalias;
+            profile = o.profile;
+            report = o.report;
+            tune = bool_gate ctx (fun c -> c.Tune.Config.vreuse);
           }
         in
         ignore
-          (Vectorize.Vectorize.run ~options:vopts ~stats:stats.vectorize prog f);
-        after_pass f "vectorize"
-      end;
-      if options.vreuse then begin
-        let ropts =
-          {
-            Transform.Vreuse.assume_noalias = options.assume_noalias;
-            profile = options.profile;
-            report = options.report;
-            tune = bool_gate (fun c -> c.Tune.Config.vreuse);
-          }
-        in
-        ignore (Transform.Vreuse.run ~options:ropts ~stats:stats.vreuse prog f);
-        after_pass f "vreuse"
-      end;
-      if options.doacross || options.doacross_sync then begin
-        let range_facts =
-          match !rt with
-          | None -> None
-          | Some _ ->
-              let env_at = range_env_at f in
-              Some
-                (fun (s : Il.Stmt.t) e ->
-                  match env_at s with
-                  | None -> (None, None)
-                  | Some env ->
-                      let itv = Range.Range.interval_of_expr env e in
-                      (itv.Range.Range.Interval.lo, itv.Range.Range.Interval.hi))
-        in
-        let dopts =
-          {
-            Transform.Doacross.default_options with
-            Transform.Doacross.pragma = options.doacross;
-            sync = options.doacross_sync;
-            assume_noalias = options.assume_noalias;
-            profile = options.profile;
-            report = options.report;
-            why_scalar = options.why_scalar;
-            range = range_facts;
-            tune = bool_gate (fun c -> c.Tune.Config.doacross);
-          }
-        in
-        timed "doacross" (fun () ->
-            ignore
-              (Transform.Doacross.run ~stats:stats.doacross ~options:dopts prog
-                 f));
-        after_pass f "doacross"
-      end;
-      if options.scalar_replacement then begin
-        ignore (Transform.Scalar_replace.run ~stats:stats.scalar_replace prog f);
-        after_pass f "scalar-replacement"
-      end;
-      if options.strength_reduction then begin
+          (Transform.Vreuse.run ~options ~stats:ctx.stats.vreuse ctx.prog f));
+    {
+      pass = "doacross";
+      gate = (fun on -> on `Doacross || on `Doacross_sync);
+      run =
+        (fun ctx f ->
+          let o = ctx.options in
+          let options =
+            {
+              Transform.Doacross.default_options with
+              Transform.Doacross.pragma = enabled o `Doacross;
+              sync = enabled o `Doacross_sync;
+              assume_noalias = o.assume_noalias;
+              profile = o.profile;
+              report = o.report;
+              why_scalar = o.why_scalar;
+              range = Option.map range_interval (range_env_at ctx f);
+              tune = bool_gate ctx (fun c -> c.Tune.Config.doacross);
+            }
+          in
+          ignore
+            (Transform.Doacross.run ~stats:ctx.stats.doacross ~options ctx.prog
+               f));
+    };
+    step "scalar-replacement" `Scalar_replacement (fun ctx f ->
         ignore
-          (Transform.Strength_reduction.run ~stats:stats.strength_reduction prog
-             f);
-        after_pass f "strength-reduction"
-      end;
-      if options.scalar_opt then begin
-        ignore (Analysis.Dce.run ~stats:stats.dce f);
-        after_pass f "dce"
-      end)
-    prog.Il.Prog.funcs);
+          (Transform.Scalar_replace.run ~stats:ctx.stats.scalar_replace ctx.prog
+             f));
+    step "strength-reduction" `Strength_reduction (fun ctx f ->
+        ignore
+          (Transform.Strength_reduction.run ~stats:ctx.stats.strength_reduction
+             ctx.prog f));
+    step "dce" `Scalar_opt (fun ctx f ->
+        ignore (Analysis.Dce.run ~stats:ctx.stats.dce f));
+  ]
+
+(* Run the optimization pipeline in place.  [timer] buckets the wall
+   time of each phase group, and of each per-function pass inside
+   "transforms", for [--timings]. *)
+let rec optimize ?(options = default_options) ?(stats = new_stats ()) ?timer
+    (prog : Il.Prog.t) =
+  let timed phase f =
+    match timer with Some t -> Support.Timing.time t phase f | None -> f ()
+  in
+  let on = enabled options in
+  (* Resolve the tuning request into a per-location plan before anything
+     mutates [prog]: [`Use] fingerprints a scout clone (which runs the
+     same prefix pipeline, including its own catalog import) and maps
+     matching store records back to this program's loops.  An empty store
+     resolves to no plan, so every tuning hook stays [None] and the
+     compile is byte-identical to an untuned one. *)
+  let plan =
+    match options.tune with
+    | `Off -> None
+    | `Plan p -> Some p
+    | `Use store ->
+        if Profile.Tuned.is_empty store then None
+        else
+          Some
+            (timed "tune" (fun () ->
+                 let clone = Il.Prog.clone prog in
+                 ignore (optimize ~options:(scout_options options) clone);
+                 let stored (n : Tune.Fingerprint.nest) =
+                   match Profile.Tuned.find store n.Tune.Fingerprint.fp with
+                   | None -> None
+                   | Some r -> (
+                       match Tune.Config.of_fields r.Profile.Tuned.fields with
+                       | exception _ -> None (* unknown fields: skip *)
+                       | cfg -> Some (n, cfg))
+                 in
+                 plan_of
+                   (List.filter_map stored (Tune.Fingerprint.nests clone))))
+  in
+  timed "catalog-import" (fun () ->
+      List.iter
+        (fun file -> Inline.Catalog.import ~into:prog (Inline.Catalog.load file))
+        options.catalogs);
+  (* Whole-program points-to runs after catalog import so argument-to-
+     parameter bindings at known call sites are visible.  The verdicts
+     back the {!Dependence.Alias} oracle consulted wherever canonical
+     decomposition gives up; the oracle is process-global state, so it is
+     cleared on every exit path — a later compilation of a different
+     program must not see this one's graph.  Inlining rewrites bodies
+     wholesale, so the analysis is recomputed after it. *)
+  let analyze_pointsto () =
+    if on `Pointsto then
+      Some (timed "pointsto" (fun () -> Pointsto.Pointsto.analyze prog))
+    else None
+  in
+  let pt = ref (analyze_pointsto ()) in
+  (* Symbolic ranges follow the same lifecycle: whole-program parameter
+     seeding up front (and again after inlining), per-function dataflow
+     on demand ({!range_env_at}).  Nothing reads the ranges before
+     inlining replaces them (the inliner consults points-to only), so an
+     inlining compile seeds once, after. *)
+  let analyze_range () =
+    if on `Range then Some (timed "range" (fun () -> Range.Range.analyze prog))
+    else None
+  in
+  let rt = ref (if on `Inline then None else analyze_range ()) in
+  let install_oracle () =
+    match !pt with
+    | None -> ()
+    | Some t ->
+        Dependence.Alias.set_oracle (fun e1 e2 ->
+            match Pointsto.Pointsto.verdict t e1 e2 with
+            | Some `No_alias -> Some Dependence.Alias.No_alias
+            | Some (`Must_alias d) -> Some (Dependence.Alias.Must_alias d)
+            | None -> None)
+  in
+  install_oracle ();
+  Fun.protect ~finally:Dependence.Alias.clear_oracle @@ fun () ->
+  if on `Inline then begin
+    timed "inline" (fun () ->
+        Inline.Inline.expand
+          ~options:
+            {
+              Inline.Inline.default_options with
+              only =
+                (match options.inline_only with [] -> None | ns -> Some ns);
+              profile = options.profile;
+              pointsto = !pt;
+              report = options.report;
+              site_tune =
+                Option.map
+                  (fun p loc -> List.assoc_opt loc p.tp_calls)
+                  plan;
+            }
+          ~stats:stats.inline prog);
+    pt := analyze_pointsto ();
+    rt := analyze_range ();
+    install_oracle ();
+    after_prog_pass ?pointsto:!pt ?range:!rt options prog "inline"
+  end;
+  let ctx = { prog; options; stats; plan; range = !rt } in
+  let active = List.filter (fun p -> p.gate on) passes in
+  timed "transforms" (fun () ->
+      List.iter
+        (fun f ->
+          List.iter
+            (fun p ->
+              timed p.pass (fun () -> p.run ctx f);
+              after_pass ?pointsto:!pt ?range:!rt options prog f p.pass)
+            active)
+        prog.Il.Prog.funcs);
   dump_stage options prog "final";
   (match options.verify with
   | `Final | `Each_stage ->
@@ -657,7 +649,7 @@ let run_titan ?config ?entry ?args ?vreuse prog =
 let compile_and_simulate ?(options = default_options)
     ?(config = Titan.Machine.default_config) src =
   let prog, stats = compile ~options src in
-  let result = run_titan ~config ~vreuse:options.vreuse prog in
+  let result = run_titan ~config ~vreuse:(enabled options `Vreuse) prog in
   (prog, stats, result)
 
 (* PGO pass one: compile at -O0, run instrumented under [config], and
@@ -732,7 +724,7 @@ let tune ?(options = default_options) ?(config = Titan.Machine.default_config)
     ignore (optimize ~options:opts p);
     p
   in
-  let simulate p = run_titan ~config ~vreuse:options.vreuse p in
+  let simulate p = run_titan ~config ~vreuse:(enabled options `Vreuse) p in
   let matches (r : Titan.Machine.run_result) =
     r.Titan.Machine.stdout_text = reference.Il.Interp.stdout_text
     &&
@@ -781,94 +773,41 @@ let tune ?(options = default_options) ?(config = Titan.Machine.default_config)
   let stats = Tune.Search.new_stats () in
   let store = ref Profile.Tuned.empty in
   let winners = ref [] in
-  let plan_of extra =
-    List.fold_left
-      (fun acc ((n : Tune.Fingerprint.nest), (cfg : Tune.Config.t)) ->
-        {
-          tp_nests =
-            List.map (fun l -> (l, cfg)) n.Tune.Fingerprint.loop_locs
-            @ acc.tp_nests;
-          tp_calls =
-            List.filter_map
-              (fun (site, callee) ->
-                Option.map
-                  (fun v -> (site, v))
-                  (List.assoc_opt callee cfg.Tune.Config.inline_calls))
-              n.Tune.Fingerprint.calls
-            @ acc.tp_calls;
-        })
-      empty_plan extra
-  in
   let current = ref static_cycles in
   let improved = ref 0 in
   List.iter
     (fun (n : Tune.Fingerprint.nest) ->
-      let opt3 set = List.map set [ None; Some false; Some true ] in
+      (* a dimension is searched only while its switch is on *)
+      let dim sw dim_name values =
+        if enabled options sw then [ { Tune.Search.dim_name; values } ] else []
+      in
+      let tri sw dim_name set =
+        dim sw dim_name (List.map set [ None; Some false; Some true ])
+      in
       let dims =
-        (if options.vectorize then
-           [
-             {
-               Tune.Search.dim_name = "mode";
-               values =
-                 List.map
-                   (fun m (c : Tune.Config.t) -> { c with Tune.Config.mode = m })
-                   [
-                     None;
-                     Some Tune.Config.Scalar;
-                     Some Tune.Config.Vector;
-                     Some Tune.Config.Parallel;
-                   ];
-             };
-             {
-               Tune.Search.dim_name = "strip";
-               values =
-                 List.map
-                   (fun v (c : Tune.Config.t) ->
-                     { c with Tune.Config.strip = v })
-                   [ None; Some 8; Some 16; Some 32; Some 64 ];
-             };
-           ]
-         else [])
-        @ (if options.interchange && n.Tune.Fingerprint.depth >= 2 then
+        dim `Vectorize "mode"
+          (List.map
+             (fun m (c : Tune.Config.t) -> { c with Tune.Config.mode = m })
              [
-               {
-                 Tune.Search.dim_name = "interchange";
-                 values =
-                   opt3 (fun v (c : Tune.Config.t) ->
-                       { c with Tune.Config.interchange = v });
-               };
-             ]
+               None;
+               Some Tune.Config.Scalar;
+               Some Tune.Config.Vector;
+               Some Tune.Config.Parallel;
+             ])
+        @ dim `Vectorize "strip"
+            (List.map
+               (fun v (c : Tune.Config.t) -> { c with Tune.Config.strip = v })
+               [ None; Some 8; Some 16; Some 32; Some 64 ])
+        @ (if n.Tune.Fingerprint.depth >= 2 then
+             tri `Interchange "interchange" (fun v (c : Tune.Config.t) ->
+                 { c with Tune.Config.interchange = v })
            else [])
-        @ (if options.fuse then
-             [
-               {
-                 Tune.Search.dim_name = "fuse";
-                 values =
-                   opt3 (fun v (c : Tune.Config.t) ->
-                       { c with Tune.Config.fuse = v });
-               };
-             ]
-           else [])
-        @ (if options.vreuse then
-             [
-               {
-                 Tune.Search.dim_name = "vreuse";
-                 values =
-                   opt3 (fun v (c : Tune.Config.t) ->
-                       { c with Tune.Config.vreuse = v });
-               };
-             ]
-           else [])
-        @ (if options.doacross_sync then
-             [
-               {
-                 Tune.Search.dim_name = "doacross";
-                 values =
-                   opt3 (fun v (c : Tune.Config.t) ->
-                       { c with Tune.Config.doacross = v });
-               };
-             ]
-           else [])
+        @ tri `Fuse "fuse" (fun v (c : Tune.Config.t) ->
+              { c with Tune.Config.fuse = v })
+        @ tri `Vreuse "vreuse" (fun v (c : Tune.Config.t) ->
+              { c with Tune.Config.vreuse = v })
+        @ tri `Doacross_sync "doacross" (fun v (c : Tune.Config.t) ->
+              { c with Tune.Config.doacross = v })
         @ List.map
             (fun callee ->
               {

@@ -45,20 +45,8 @@ let oracle : (Expr.t -> Expr.t -> result option) Domain.DLS.key =
 (* Domain-local: the compile server runs independent pipelines on
    separate domains, and each must see only its own program's graph. *)
 
-(* Oracle installs invalidate memoized dependence verdicts downstream
-   (Test's cache keys embed this), so every change bumps a counter. *)
-let generation_key : int ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref 0)
-
-let generation () = !(Domain.DLS.get generation_key)
-
-let set_oracle f =
-  incr (Domain.DLS.get generation_key);
-  Domain.DLS.set oracle f
-
-let clear_oracle () =
-  incr (Domain.DLS.get generation_key);
-  Domain.DLS.set oracle (fun _ _ -> None)
+let set_oracle f = Domain.DLS.set oracle f
+let clear_oracle () = Domain.DLS.set oracle (fun _ _ -> None)
 
 let refine b1 b2 =
   match (Domain.DLS.get oracle) b1 b2 with Some r -> r | None -> May_alias

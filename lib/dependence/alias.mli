@@ -44,8 +44,3 @@ val set_oracle : (Expr.t -> Expr.t -> result option) -> unit
 
 (** Remove the installed oracle (restores pure syntactic behavior). *)
 val clear_oracle : unit -> unit
-
-(** Domain-local counter bumped by {!set_oracle}/{!clear_oracle}; cache
-    keys that embed alias verdicts include it so an oracle change never
-    revives a stale entry. *)
-val generation : unit -> int

@@ -195,21 +195,10 @@ type oracle = {
    server pipelines each install their own range oracle. *)
 let oracle_ref : oracle option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
-(* Memoized verdicts depend on the installed range oracle, so each
-   install/restore bumps a generation embedded in the cache key. *)
-let generation_key : int ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref 0)
-
 let with_oracle (o : oracle) f =
   let saved = Domain.DLS.get oracle_ref in
-  let gen = Domain.DLS.get generation_key in
-  incr gen;
   Domain.DLS.set oracle_ref (Some o);
-  Fun.protect
-    ~finally:(fun () ->
-      incr gen;
-      Domain.DLS.set oracle_ref saved)
-    f
+  Fun.protect ~finally:(fun () -> Domain.DLS.set oracle_ref saved) f
 
 (* Interval counterpart of [affine]: delta is only known to lie in
    [dlo, dhi] (either side possibly unbounded).  Independence holds when
@@ -296,11 +285,17 @@ let may_alias_affine (a1 : Subscript.affine) (a2 : Subscript.affine) ~trip :
                      (side dhi));
               dep))
 
+(* Calls counted per domain for the benchmark's dependence metrics. *)
+let lookups : int ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref 0)
+
+let cache_stats () = (0, !(Domain.DLS.get lookups))
+
 (* Test two references given their subscript decompositions and an alias
    verdict on their bases. *)
-let references_uncached ?(assume_noalias = false) ~trip
-    (r1 : Subscript.reference) (r2 : Subscript.reference) structs : verdict =
+let references ?(assume_noalias = false) ~trip (r1 : Subscript.reference)
+    (r2 : Subscript.reference) structs : verdict =
   ignore structs;
+  incr (Domain.DLS.get lookups);
   match r1.Subscript.affine, r2.Subscript.affine with
   | Some a1, Some a2 -> (
       match Alias.bases ~assume_noalias a1.Subscript.base a2.Subscript.base with
@@ -317,69 +312,3 @@ let references_uncached ?(assume_noalias = false) ~trip
       | Some b1, Some b2 when Alias.bases ~assume_noalias b1 b2 = Alias.No_alias ->
           Independent
       | _ -> dep None)
-
-(* ---- memoization ----
-
-   Loop nests are retested after nearly every transform (distribution,
-   fusion, strip mining, doacross all rebuild the dependence graph), and
-   the same subscript pairs recur across rebuilds.  The verdict of
-   [references] is a pure function of the two affine decompositions, the
-   trip bound, [assume_noalias], and the two installed oracles — so it
-   memoizes on exactly that key.  Oracle identity enters as generation
-   counters ({!generation_key} here, {!Alias.generation} for points-to):
-   any install or restore invalidates the whole cache by shifting every
-   future key.
-
-   One observable difference on a hit: the range oracle's [note]
-   callback does not fire again.  Notes feed [--why-scalar], which
-   reports each surviving dependence once per loop, and a generation
-   spans a single optimization run of one function — the first miss has
-   already reported the pair. *)
-
-type cache_stats = { mutable hits : int; mutable lookups : int }
-
-let cache_key : (string, verdict) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 1024)
-
-let cache_stats_key : cache_stats Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> { hits = 0; lookups = 0 })
-
-let cache_stats () =
-  let s = Domain.DLS.get cache_stats_key in
-  (s.hits, s.lookups)
-
-(* The verdict reads only the [affine] field of each reference (the
-   non-affine fallback consults the bases of whatever decomposed), so
-   the key renders just that, order-sensitively: distance signs flip
-   with argument order. *)
-let side (r : Subscript.reference) =
-  match r.Subscript.affine with
-  | Some a ->
-      Printf.sprintf "%d:%s" a.Subscript.coeff
-        (Vpc_support.Sexp.to_string (Vpc_il.Expr.to_sexp a.Subscript.base))
-  | None -> "~"
-
-let references ?(assume_noalias = false) ~trip (r1 : Subscript.reference)
-    (r2 : Subscript.reference) structs : verdict =
-  let key =
-    Printf.sprintf "%d.%d/%b/%s|%s|%s"
-      !(Domain.DLS.get generation_key)
-      (Alias.generation ()) assume_noalias
-      (match trip with None -> "*" | Some u -> string_of_int u)
-      (side r1) (side r2)
-  in
-  let cache = Domain.DLS.get cache_key in
-  let stats = Domain.DLS.get cache_stats_key in
-  stats.lookups <- stats.lookups + 1;
-  match Hashtbl.find_opt cache key with
-  | Some v ->
-      stats.hits <- stats.hits + 1;
-      v
-  | None ->
-      let v = references_uncached ~assume_noalias ~trip r1 r2 structs in
-      (* long-lived server domains retest unboundedly many programs; a
-         stale generation's entries can never hit again, so dropping
-         everything at a size cap loses at most one warm window *)
-      if Hashtbl.length cache > 65536 then Hashtbl.reset cache;
-      Hashtbl.replace cache key v;
-      v

@@ -83,10 +83,7 @@ val interval_affine :
   c1:int -> c2:int -> dlo:int option -> dhi:int option -> trip:bound -> verdict
 
 (** Test two extracted references (affine decomposition + alias
-    analysis); conservative when either is non-affine.  Verdicts are
-    memoized per domain, keyed on the canonicalized subscript pair, the
-    trip bound, [assume_noalias], and the generations of both installed
-    oracles (range and points-to) — see {!cache_stats}. *)
+    analysis); conservative when either is non-affine. *)
 val references :
   ?assume_noalias:bool ->
   trip:bound ->
@@ -95,6 +92,6 @@ val references :
   (string, Vpc_il.Ty.struct_def) Hashtbl.t ->
   verdict
 
-(** [(hits, lookups)] of the domain's memoized {!references} cache since
-    the domain started; [--timings] prints the hit rate. *)
+(** [(hits, lookups)]: the domain's {!references} calls since it
+    started.  Nothing is memoized, so hits is always 0. *)
 val cache_stats : unit -> int * int

@@ -23,6 +23,26 @@ open Vpc_il
 
 let digest_string s = Digest.to_hex (Digest.string s)
 
+(* Canonical rendering of an expression; [tok] renders a variable id. *)
+let rec expr_sexp tok (e : Expr.t) : Sexp.t =
+  let open Sexp in
+  let expr = expr_sexp tok in
+  match e.Expr.desc with
+  | Expr.Const_int n -> list [ atom "ci"; int n; Ty.to_sexp e.Expr.ty ]
+  | Expr.Const_float x -> list [ atom "cf"; float x; Ty.to_sexp e.Expr.ty ]
+  | Expr.Var id -> list [ atom "v"; atom (tok id); Ty.to_sexp e.Expr.ty ]
+  | Expr.Addr_of id -> list [ atom "addr"; atom (tok id); Ty.to_sexp e.Expr.ty ]
+  | Expr.Load p -> list [ atom "load"; expr p; Ty.to_sexp e.Expr.ty ]
+  | Expr.Binop (op, a, b) ->
+      list
+        [ atom "b"; atom (Expr.binop_to_string op); expr a; expr b;
+          Ty.to_sexp e.Expr.ty ]
+  | Expr.Unop (op, a) ->
+      list
+        [ atom "u"; atom (Expr.unop_to_string op); expr a;
+          Ty.to_sexp e.Expr.ty ]
+  | Expr.Cast (t, a) -> list [ atom "cast"; Ty.to_sexp t; expr a ]
+
 (* Canonical rendering of one function with normalized variable ids. *)
 let func_sexp (prog : Prog.t) (f : Func.t) : Sexp.t =
   let open Sexp in
@@ -46,24 +66,7 @@ let func_sexp (prog : Prog.t) (f : Func.t) : Sexp.t =
         | Some g -> "g!" ^ g.Prog.gvar.Var.name
         | None -> "x!" ^ string_of_int id)
   in
-  let rec expr (e : Expr.t) =
-    match e.Expr.desc with
-    | Expr.Const_int n -> list [ atom "ci"; int n; Ty.to_sexp e.Expr.ty ]
-    | Expr.Const_float x -> list [ atom "cf"; float x; Ty.to_sexp e.Expr.ty ]
-    | Expr.Var id -> list [ atom "v"; atom (vtok id); Ty.to_sexp e.Expr.ty ]
-    | Expr.Addr_of id ->
-        list [ atom "addr"; atom (vtok id); Ty.to_sexp e.Expr.ty ]
-    | Expr.Load p -> list [ atom "load"; expr p; Ty.to_sexp e.Expr.ty ]
-    | Expr.Binop (op, a, b) ->
-        list
-          [ atom "b"; atom (Expr.binop_to_string op); expr a; expr b;
-            Ty.to_sexp e.Expr.ty ]
-    | Expr.Unop (op, a) ->
-        list
-          [ atom "u"; atom (Expr.unop_to_string op); expr a;
-            Ty.to_sexp e.Expr.ty ]
-    | Expr.Cast (t, a) -> list [ atom "cast"; Ty.to_sexp t; expr a ]
-  in
+  let expr = expr_sexp vtok in
   let lvalue = function
     | Stmt.Lvar id -> list [ atom "lv"; atom (vtok id) ]
     | Stmt.Lmem e -> list [ atom "lm"; expr e ]
@@ -192,25 +195,7 @@ let globals (prog : Prog.t) =
     | Some g -> "g!" ^ g.Prog.gvar.Var.name
     | None -> "x!" ^ string_of_int id
   in
-  let rec gexpr (e : Expr.t) =
-    let open Sexp in
-    match e.Expr.desc with
-    | Expr.Const_int n -> list [ atom "ci"; int n; Ty.to_sexp e.Expr.ty ]
-    | Expr.Const_float x -> list [ atom "cf"; float x; Ty.to_sexp e.Expr.ty ]
-    | Expr.Var id -> list [ atom "v"; atom (gname id); Ty.to_sexp e.Expr.ty ]
-    | Expr.Addr_of id ->
-        list [ atom "addr"; atom (gname id); Ty.to_sexp e.Expr.ty ]
-    | Expr.Load p -> list [ atom "load"; gexpr p; Ty.to_sexp e.Expr.ty ]
-    | Expr.Binop (op, a, b) ->
-        list
-          [ atom "b"; atom (Expr.binop_to_string op); gexpr a; gexpr b;
-            Ty.to_sexp e.Expr.ty ]
-    | Expr.Unop (op, a) ->
-        list
-          [ atom "u"; atom (Expr.unop_to_string op); gexpr a;
-            Ty.to_sexp e.Expr.ty ]
-    | Expr.Cast (t, a) -> list [ atom "cast"; Ty.to_sexp t; gexpr a ]
-  in
+  let gexpr = expr_sexp gname in
   let ginit = function
     | Prog.Init_none -> Sexp.atom "none"
     | Prog.Init_scalar e -> Sexp.list [ Sexp.atom "s"; gexpr e ]

@@ -30,14 +30,7 @@ open Vpc.Il
 type copts = {
   opt_level : int;  (* 0..3 *)
   inline_only : string list;
-  no_parallel : bool;
-  no_vectorize : bool;
-  no_interchange : bool;
-  no_fuse : bool;
-  no_vreuse : bool;
-  no_doacross_sync : bool;
-  no_pointsto : bool;
-  no_range : bool;
+  disabled : string list;  (* sorted off flags of {!Vpc.switches} *)
   assume_noalias : bool;
   vlen : int;
   catalogs : string list;
@@ -49,14 +42,7 @@ let default_copts =
   {
     opt_level = 3;
     inline_only = [];
-    no_parallel = false;
-    no_vectorize = false;
-    no_interchange = false;
-    no_fuse = false;
-    no_vreuse = false;
-    no_doacross_sync = false;
-    no_pointsto = false;
-    no_range = false;
+    disabled = [];
     assume_noalias = false;
     vlen = 32;
     catalogs = [];
@@ -64,20 +50,21 @@ let default_copts =
     tune_use = None;
   }
 
+(* Requests arrive from outside the process, so an unknown name is a
+   parse error, which the daemon survives, not an exception that stops
+   it. *)
+let flag_switch name =
+  match Vpc.flag_switch name with
+  | Some sw -> sw
+  | None -> raise (Sexp.Parse_error ("copts: unknown flag " ^ name))
+
 let copts_to_sexp (c : copts) =
   let open Sexp in
   list
     [
       int c.opt_level;
       list (List.map atom c.inline_only);
-      bool c.no_parallel;
-      bool c.no_vectorize;
-      bool c.no_interchange;
-      bool c.no_fuse;
-      bool c.no_vreuse;
-      bool c.no_doacross_sync;
-      bool c.no_pointsto;
-      bool c.no_range;
+      list (List.map atom (List.sort_uniq compare c.disabled));
       bool c.assume_noalias;
       int c.vlen;
       list (List.map atom c.catalogs);
@@ -87,55 +74,35 @@ let copts_to_sexp (c : copts) =
 
 let copts_of_sexp s =
   let open Sexp in
+  let path what = function
+    | [] -> None
+    | [ p ] -> Some (as_atom p)
+    | _ -> raise (Parse_error ("copts: bad " ^ what))
+  in
   match s with
-  | List
-      [
-        lvl; List only; np; nv; ni; nf; nvr; nds; npt; nr; na; vlen;
-        List cats; List prof; List tune;
-      ] ->
+  | List [ lvl; List only; List off; na; vlen; List cats; List prof; List tune ]
+    ->
+      let disabled = List.sort_uniq compare (List.map as_atom off) in
+      List.iter (fun n -> ignore (flag_switch n)) disabled;
       {
         opt_level = as_int lvl;
         inline_only = List.map as_atom only;
-        no_parallel = as_bool np;
-        no_vectorize = as_bool nv;
-        no_interchange = as_bool ni;
-        no_fuse = as_bool nf;
-        no_vreuse = as_bool nvr;
-        no_doacross_sync = as_bool nds;
-        no_pointsto = as_bool npt;
-        no_range = as_bool nr;
+        disabled;
         assume_noalias = as_bool na;
         vlen = as_int vlen;
         catalogs = List.map as_atom cats;
-        profile_use =
-          (match prof with [] -> None | [ p ] -> Some (as_atom p)
-          | _ -> raise (Parse_error "copts: bad profile"));
-        tune_use =
-          (match tune with [] -> None | [ p ] -> Some (as_atom p)
-          | _ -> raise (Parse_error "copts: bad tune store"));
+        profile_use = path "profile" prof;
+        tune_use = path "tune store" tune;
       }
   | _ -> raise (Parse_error "copts: bad shape")
 
 let to_options (c : copts) : Vpc.options =
-  let base =
-    match c.opt_level with
-    | 0 -> Vpc.o0
-    | 1 -> Vpc.o1
-    | 2 -> Vpc.o2
-    | _ -> Vpc.o3
-  in
+  (* a level outside 0..2 compiles as -O3 *)
+  let level = match c.opt_level with 0 | 1 | 2 -> c.opt_level | _ -> 3 in
   {
-    base with
-    Vpc.inline =
-      (match c.inline_only with [] -> base.Vpc.inline | ns -> `Only ns);
-    parallelize = base.Vpc.parallelize && not c.no_parallel;
-    vectorize = base.Vpc.vectorize && not c.no_vectorize;
-    interchange = base.Vpc.interchange && not c.no_interchange;
-    fuse = base.Vpc.fuse && not c.no_fuse;
-    vreuse = base.Vpc.vreuse && not c.no_vreuse;
-    doacross_sync = base.Vpc.doacross_sync && not c.no_doacross_sync;
-    pointsto = base.Vpc.pointsto && not c.no_pointsto;
-    range = base.Vpc.range && not c.no_range;
+    (Vpc.at_level level) with
+    Vpc.off = List.map flag_switch c.disabled;
+    inline_only = c.inline_only;
     assume_noalias = c.assume_noalias;
     vlen = c.vlen;
     catalogs = c.catalogs;
@@ -192,7 +159,7 @@ let asm_texts (prog : Prog.t) : (string * string) list =
 
 (* Keys ------------------------------------------------------------------- *)
 
-let schema_tag = "titancc-cache-2"
+let schema_tag = "titancc-cache-3"
 
 let options_fp (c : copts) =
   (* paths out, contents in: the same catalog reached via a different
@@ -319,7 +286,7 @@ let compile ?timer (cache : Cache.t) (req : request) : response =
     let il = Pp.prog_to_string prog in
     let asms = timed "codegen" (fun () -> asm_texts prog) in
     let summaries =
-      if options.Vpc.pointsto then
+      if Vpc.enabled options `Pointsto then
         timed "summaries" (fun () ->
             let pt = Vpc.Pointsto.Pointsto.analyze prog in
             List.map

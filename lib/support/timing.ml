@@ -5,9 +5,11 @@
 
 type t = {
   mutable phases : (string * float ref) list;  (* reversed first-use order *)
+  mutable depth : int;  (* buckets open now *)
+  mutable outer : float;  (* seconds inside outermost buckets *)
 }
 
-let create () = { phases = [] }
+let create () = { phases = []; depth = 0; outer = 0.0 }
 
 let bucket t name =
   match List.assoc_opt name t.phases with
@@ -17,18 +19,21 @@ let bucket t name =
       t.phases <- (name, r) :: t.phases;
       r
 
-let add t name seconds =
-  let r = bucket t name in
-  r := !r +. seconds
-
 let time t name f =
   let r = bucket t name in
   let t0 = Unix.gettimeofday () in
-  Fun.protect ~finally:(fun () -> r := !r +. (Unix.gettimeofday () -. t0)) f
+  t.depth <- t.depth + 1;
+  Fun.protect
+    ~finally:(fun () ->
+      let dt = Unix.gettimeofday () -. t0 in
+      r := !r +. dt;
+      t.depth <- t.depth - 1;
+      if t.depth = 0 then t.outer <- t.outer +. dt)
+    f
 
 let phases t = List.rev_map (fun (name, r) -> (name, !r)) t.phases
 
-let total t = List.fold_left (fun acc (_, s) -> acc +. s) 0.0 (phases t)
+let total t = t.outer
 
 (* One line per phase, widest bucket first-use order preserved:
      [timings] parse         0.004s  12.3%

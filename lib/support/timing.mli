@@ -2,8 +2,8 @@
 
     A [t] accumulates elapsed seconds into named buckets in first-use
     order.  Phases may nest; each bucket records its full span, so
-    nested buckets overlap and the printed total is the sum of buckets,
-    not end-to-end wall time. *)
+    nested buckets overlap.  The total counts only outermost spans: it is
+    the wall time spent inside any bucket. *)
 
 type t
 
@@ -12,9 +12,6 @@ val create : unit -> t
 val time : t -> string -> (unit -> 'a) -> 'a
 (** [time t phase f] runs [f], charging its wall time to [phase]
     (accumulating across calls).  Exceptions still charge the bucket. *)
-
-val add : t -> string -> float -> unit
-(** Charge [seconds] measured externally to a bucket. *)
 
 val phases : t -> (string * float) list
 (** Buckets in first-use order. *)

@@ -202,7 +202,7 @@ let subscript_extraction () =
       }|}
   in
   let prog =
-    Helpers.compile ~options:{ Vpc.o1 with Vpc.strength_reduction = false } src
+    Helpers.compile ~options:{ Vpc.o1 with Vpc.off = [ `Strength_reduction ] } src
   in
   let f = Vpc.Il.Prog.func_exn prog "f" in
   let found = ref [] in
@@ -239,7 +239,7 @@ let graph_backsolve_carried () =
   in
   let prog =
     Helpers.compile
-      ~options:{ Vpc.o1 with Vpc.strength_reduction = false }
+      ~options:{ Vpc.o1 with Vpc.off = [ `Strength_reduction ] }
       src
   in
   let f = Vpc.Il.Prog.func_exn prog "backsolve" in
@@ -350,7 +350,7 @@ let nest_edge_extraction () =
   in
   let prog =
     Helpers.compile
-      ~options:{ Vpc.o1 with Vpc.strength_reduction = false }
+      ~options:{ Vpc.o1 with Vpc.off = [ `Strength_reduction ] }
       src
   in
   let f = Vpc.Il.Prog.func_exn prog "main" in

@@ -179,7 +179,7 @@ let do_sync_pipelines_recurrence () =
   Alcotest.(check int) "one post per iteration" 4096 m.posts;
   Alcotest.(check int) "one wait per iteration" 4096 m.waits;
   let off =
-    compile ~options:{ Vpc.o2 with Vpc.doacross_sync = false } recurrence_src
+    compile ~options:{ Vpc.o2 with Vpc.off = [ `Doacross_sync ] } recurrence_src
   in
   let m_off = titan_metrics off in
   Alcotest.(check bool)
@@ -200,7 +200,7 @@ let do_sync_eliminates_redundant () =
 let do_sync_off_by_option () =
   let prog, stats =
     compile_stats
-      ~options:{ Vpc.o2 with Vpc.doacross_sync = false }
+      ~options:{ Vpc.o2 with Vpc.off = [ `Doacross_sync ] }
       recurrence_src
   in
   Alcotest.(check int) "nothing pipelined" 0 stats.doacross.do_pipelined;
@@ -273,7 +273,7 @@ let do_sync_rejects_call () =
       }|}
   in
   let prog, stats =
-    compile_stats ~options:{ Vpc.o2 with Vpc.inline = `None } src
+    compile_stats ~options:{ Vpc.o2 with Vpc.off = [ `Inline ] } src
   in
   Alcotest.(check int) "not pipelined" 0 stats.doacross.do_pipelined;
   Alcotest.(check int) "no posts" 0 (titan_metrics prog).posts;

@@ -4,7 +4,7 @@
 
 open Helpers
 
-let o1 = { Vpc.o1 with Vpc.strength_reduction = false }
+let o1 = { Vpc.o1 with Vpc.off = [ `Strength_reduction ] }
 
 let star_copy_becomes_subscript () =
   (* §5.3's *a++ = *b++ example *)

@@ -48,7 +48,7 @@ let param_shapes () =
     {|int scale(int v, int k) { return v * k; }
       int main() { return scale(6, 7); }|}
   in
-  let prog = compile ~options:{ o3 with Vpc.scalar_opt = false } src in
+  let prog = compile ~options:{ o3 with Vpc.off = [ `Scalar_opt ] } src in
   let il = Vpc.Il.Pp.func_to_string prog (Vpc.Il.Prog.func_exn prog "main") in
   check_contains "in_v binding" ~needle:"in_v = 6;" il;
   check_contains "in_k binding" ~needle:"in_k = 7;" il;
@@ -124,7 +124,7 @@ let only_filter () =
       int g(int x) { return x + 2; }
       int main() { printf("%d\n", f(1) + g(1)); return 0; }|}
   in
-  let options = { Vpc.o3 with Vpc.inline = `Only [ "f" ] } in
+  let options = { Vpc.o3 with Vpc.inline_only = [ "f" ] } in
   let prog = compile ~options src in
   let il = Vpc.Il.Pp.func_to_string prog (Vpc.Il.Prog.func_exn prog "main") in
   check_not_contains "f inlined" ~needle:" f(" il;

@@ -27,4 +27,5 @@ let () =
       ("profile", Test_profile.tests);
       ("tune", Test_tune.tests);
       ("server", Test_server.tests);
+      ("switches", Test_switches.tests);
     ]

@@ -451,7 +451,13 @@ let ptrkernels_src =
 
 let end_to_end_vectorizes () =
   let build pointsto =
-    compile_stats ~options:{ Vpc.o2 with Vpc.pointsto; verify = `Each_stage }
+    compile_stats
+      ~options:
+        {
+          Vpc.o2 with
+          Vpc.off = (if pointsto then [] else [ `Pointsto ]);
+          verify = `Each_stage;
+        }
       ptrkernels_src
   in
   let prog_off, s_off = build false in

@@ -260,7 +260,7 @@ int main() { f(5); f(9); return 0; }
   check_contains "range keeps the taken branch" ~needle:"big" il_on;
   check_not_contains "range folds the dead branch" ~needle:"small" il_on;
   let il_off =
-    func_il ~options:{ Vpc.o2 with Vpc.range = false } src "f"
+    func_il ~options:{ Vpc.o2 with Vpc.off = [ `Range ] } src "f"
   in
   check_contains "without ranges both branches stay" ~needle:"small" il_off
 

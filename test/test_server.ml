@@ -111,6 +111,104 @@ float second(int n)
     (fp_of (src "") "second")
     (fp_of (src "float t; t = x; x = t;") "second")
 
+(* Digests recorded before the function and global renderers shared
+   one expression renderer: the merge must not move a cache key. *)
+let test_fp_pinned () =
+  let extra =
+    {|struct pt { float x; int n; };
+struct pt origin;
+int table[4] = { 1, 2, 3, 4 };
+float scale = 1.5f;
+int main() { origin.n = table[2]; return origin.n + table[1]; }
+|}
+  in
+  let sources =
+    List.map
+      (fun ex -> (ex, read_example ex))
+      [ "graphics.c"; "math_library.c"; "device_poll.c" ]
+    @ [ ("extra", extra) ]
+  in
+  let computed =
+    List.concat_map
+      (fun (ex, src) ->
+        let prog = Vpc.parse ~file:ex src in
+        List.map
+          (fun (f : Il.Func.t) -> (ex, f.Il.Func.name, F.func prog f))
+          prog.Il.Prog.funcs
+        @ [ (ex, "globals", F.globals prog); (ex, "structs", F.structs prog) ])
+      sources
+  in
+  check
+    Alcotest.(list (triple string string string))
+    "digests"
+    [
+      ("graphics.c", "transform_all", "bddbe681b43912e90ddc058c782b99ba");
+      ("graphics.c", "transform_one", "5536c937575b1c728ed681b7b9d7a0b0");
+      ("graphics.c", "main", "ca15dd1b4c25422230dbfce2b323f732");
+      ("graphics.c", "globals", "a73f61841debc0a50269afdc90b61e66");
+      ("graphics.c", "structs", "bcd8b0c2eb1fce714eab6cef0d771acc");
+      ("math_library.c", "lerp", "aa8591750f07943c3281c6b3843d9c2b");
+      ("math_library.c", "sq", "337df92711ad54fb2a1b998b08ad1988");
+      ("math_library.c", "midpoint", "314e1e33bea5ed4592df455f274cf474");
+      ("math_library.c", "main", "b27e08e9df8a1b3b9739f7764cb40937");
+      ("math_library.c", "globals", "44718c39ed5e8b9cdde6d64bda168157");
+      ("math_library.c", "structs", "bcd8b0c2eb1fce714eab6cef0d771acc");
+      ("device_poll.c", "wait_for_key", "e7b5f0b7c14fdf082fd4514bebf9c769");
+      ("device_poll.c", "main", "4db171986792c95af1a462c3a3fce19d");
+      ("device_poll.c", "globals", "37bd372d28e858341c3d8e7a1356908c");
+      ("device_poll.c", "structs", "bcd8b0c2eb1fce714eab6cef0d771acc");
+      ("extra", "main", "5193c3c95abb9a04943e272ac5910499");
+      ("extra", "globals", "4e614afcc04084d2c8df5f49b99c272a");
+      ("extra", "structs", "61aaec46a34c812b9188bf4e130b3a78");
+    ]
+    computed
+
+(* Options ---------------------------------------------------------------- *)
+
+let all_flags =
+  List.filter_map
+    (fun (r : Vpc.switch_row) -> Option.map fst r.Vpc.flag)
+    Vpc.switches
+
+let test_copts_roundtrip () =
+  List.iter
+    (fun (c : S.copts) ->
+      let text = Vpc_support.Sexp.to_string (S.copts_to_sexp c) in
+      checkb text true
+        (S.copts_of_sexp (Vpc_support.Sexp.of_string text) = c))
+    [
+      S.default_copts;
+      { S.default_copts with S.disabled = List.sort compare all_flags };
+      {
+        S.opt_level = 2;
+        inline_only = [ "f"; "g" ];
+        disabled = [ "no-pointsto"; "no-range" ];
+        assume_noalias = true;
+        vlen = 16;
+        catalogs = [ "a.cat"; "b.cat" ];
+        profile_use = Some "p.prof";
+        tune_use = Some "t.tuned";
+      };
+    ];
+  (* the wire form is canonical: flag order does not reach the key *)
+  checks "flag order"
+    (Vpc_support.Sexp.to_string
+       (S.copts_to_sexp
+          { S.default_copts with S.disabled = [ "no-range"; "no-fuse" ] }))
+    (Vpc_support.Sexp.to_string
+       (S.copts_to_sexp
+          { S.default_copts with S.disabled = [ "no-fuse"; "no-range" ] }))
+
+let test_copts_unknown_flag () =
+  let bogus = { S.default_copts with S.disabled = [ "no-bogus" ] } in
+  let rejected what f =
+    match f () with
+    | exception Vpc_support.Sexp.Parse_error _ -> ()
+    | _ -> Alcotest.failf "%s accepted an unknown flag" what
+  in
+  rejected "copts_of_sexp" (fun () -> ignore (S.copts_of_sexp (S.copts_to_sexp bogus)));
+  rejected "to_options" (fun () -> ignore (S.to_options bogus))
+
 (* Keys ------------------------------------------------------------------- *)
 
 let test_key_option_flip () =
@@ -347,6 +445,18 @@ let test_daemon_roundtrip () =
       Alcotest.(check int) "second request is fully cached"
         r2.S.res_components r2.S.res_cached;
       checks "served bytes stable across the wire" r1.S.res_il r2.S.res_il;
+      (* an unknown off flag is a parse error: that request is not
+         compiled, and the daemon lives on to serve the ones below *)
+      (match
+         Vpc_server.Protocol.request ~socket:socket_path
+           (Vpc_server.Protocol.Compile
+              (req
+                 ~opts:{ S.default_copts with S.disabled = [ "no-bogus" ] }
+                 (chain_src ())))
+       with
+      | exception End_of_file -> ()
+      | Vpc_server.Protocol.Error _ -> ()
+      | _ -> Alcotest.fail "a request with an unknown flag was compiled");
       (* a unit whose exit is unreachable is served, and the daemon
          survives it to serve the next request *)
       List.iter
@@ -375,6 +485,10 @@ let tests =
     Alcotest.test_case "fingerprint: comments and whitespace" `Quick
       test_fp_comment_whitespace;
     Alcotest.test_case "fingerprint: id shift" `Quick test_fp_id_shift;
+    Alcotest.test_case "fingerprint: pinned digests" `Quick test_fp_pinned;
+    Alcotest.test_case "copts: sexp round-trip" `Quick test_copts_roundtrip;
+    Alcotest.test_case "copts: unknown flag rejected" `Quick
+      test_copts_unknown_flag;
     Alcotest.test_case "key: option flip" `Quick test_key_option_flip;
     Alcotest.test_case "key: invalidation cone" `Quick
       test_key_invalidation_cone;

@@ -331,7 +331,7 @@ let golden_rows () =
                 (fun sched ->
                   let r =
                     Vpc.run_titan ~config:(cfg ~procs ~sched ())
-                      ~vreuse:options.Vpc.vreuse prog
+                      ~vreuse:(Vpc.enabled options `Vreuse) prog
                   in
                   let m = r.Machine.metrics in
                   Printf.sprintf

@@ -56,7 +56,7 @@ let scalar_replace_requires_distance_one () =
       }|}
   in
   let prog, stats =
-    compile_stats ~options:{ Vpc.o3 with Vpc.strength_reduction = false } src
+    compile_stats ~options:{ Vpc.o3 with Vpc.off = [ `Strength_reduction ] } src
   in
   ignore prog;
   Alcotest.(check int) "not transformed" 0 stats.scalar_replace.loops_transformed
@@ -266,14 +266,14 @@ let fuse_blocked_semantics () =
 let nest_passes_off () =
   let _, stats =
     compile_stats
-      ~options:{ Vpc.o3 with Vpc.interchange = false; Vpc.fuse = false }
+      ~options:{ Vpc.o3 with Vpc.off = [ `Interchange; `Fuse ] }
       interchange_src
   in
   Alcotest.(check int) "no interchange" 0
     stats.Vpc.interchange.nests_interchanged;
   let _, fstats =
     compile_stats
-      ~options:{ Vpc.o3 with Vpc.interchange = false; Vpc.fuse = false }
+      ~options:{ Vpc.o3 with Vpc.off = [ `Interchange; `Fuse ] }
       fuse_src
   in
   Alcotest.(check int) "no fusion" 0 fstats.Vpc.fuse.loops_fused;

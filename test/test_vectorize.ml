@@ -29,7 +29,7 @@ let recurrence_stays_scalar () =
   in
   let il =
     func_il
-      ~options:{ o2 with Vpc.scalar_replacement = false; strength_reduction = false }
+      ~options:{ o2 with Vpc.off = [ `Scalar_replacement; `Strength_reduction ] }
       src "rec_"
   in
   check_not_contains "no vector stmt for recurrence" ~needle:"[0 : " il
@@ -123,7 +123,7 @@ let pointer_params_block_vectorization () =
   in
   let il =
     func_il
-      ~options:{ o2 with Vpc.scalar_replacement = false; strength_reduction = false }
+      ~options:{ o2 with Vpc.off = [ `Scalar_replacement; `Strength_reduction ] }
       src "f"
   in
   check_not_contains "may-alias blocks" ~needle:"[0 : " il;
@@ -243,7 +243,7 @@ let vectorize_stats () =
         for (i = 0; i < 99; i++) a[i + 1] = a[i];        /* recurrence */
       }|}
   in
-  let prog = compile ~options:{ Vpc.o1 with Vpc.strength_reduction = false } src in
+  let prog = compile ~options:{ Vpc.o1 with Vpc.off = [ `Strength_reduction ] } src in
   let stats = Vpc.Vectorize.Vectorize.new_stats () in
   List.iter
     (fun f -> ignore (Vpc.Vectorize.Vectorize.run ~stats prog f))

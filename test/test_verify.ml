@@ -495,6 +495,15 @@ let cli_unreachable_exit () =
            [ "fixtures/unreachable_exit.c"; "-O"; level; "--no-run"; "-q" ]))
     [ "1"; "2"; "3" ]
 
+(* symbolic.c's [shift] loop is parallel but not vectorized under
+   --no-vectorize; it is legal only because range analysis proves
+   k >= n at both call sites, so the validator must test it under the
+   same range oracle the parallelizer used. *)
+let cli_symbolic_no_vectorize () =
+  Alcotest.(check int) "symbolic.c -O 2 --no-vectorize --verify-il (exit 0)" 0
+    (run_cli
+       [ "../examples/symbolic.c"; "-O"; "2"; "--no-vectorize"; "--verify-il" ])
+
 let tests =
   [
     Alcotest.test_case "examples verify at every stage" `Slow examples_verify;
@@ -519,4 +528,6 @@ let tests =
       wrong_const_invisible_to_verifier;
     Alcotest.test_case "titancc exit codes" `Slow cli_exit_codes;
     Alcotest.test_case "titancc unreachable exit" `Quick cli_unreachable_exit;
+    Alcotest.test_case "titancc range-proved parallel loop verifies" `Quick
+      cli_symbolic_no_vectorize;
   ]

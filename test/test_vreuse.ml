@@ -180,7 +180,12 @@ let example_files ~runnable =
 let compile_both src =
   let build vreuse =
     Vpc.compile
-      ~options:{ Vpc.o3 with Vpc.vreuse; verify = `Each_stage }
+      ~options:
+        {
+          Vpc.o3 with
+          Vpc.off = (if vreuse then [] else [ `Vreuse ]);
+          verify = `Each_stage;
+        }
       src
   in
   (build false, build true)
