@@ -399,10 +399,8 @@ let a3 () =
     (fun max_stmts ->
       let stats = Vpc.new_stats () in
       let prog = Vpc.parse src in
-      Vpc.Inline.Inline.expand
-        ~options:{ Vpc.Inline.Inline.default_options with
-                   max_callee_stmts = max_stmts }
-        ~stats:stats.inline prog;
+      Vpc.Inline.Inline.expand ~max_callee_stmts:max_stmts ~stats:stats.inline
+        (Vpc.decide Vpc.o2) prog;
       ignore (Vpc.optimize ~options:Vpc.o2 ~stats prog);
       let r = run prog in
       row "  max callee stmts %-6d inlined=%d  vectorized=%d/4  %8d cycles\n"

@@ -24,6 +24,10 @@ let run_compiler file opt_level inline_only disabled lint why_scalar
     save_catalog quiet verify_il no_run inject_fault profile_gen profile_use
     report serve cache_dir client timings tune_out tune_use no_tune tune_budget =
   try
+    if vlen < 1 then begin
+      Printf.eprintf "titancc: --vlen must be at least 1 (got %d)\n" vlen;
+      exit 1
+    end;
     (* the cacheable option subset, shared by daemon keys and client
        requests; callbacks (dump, report, ...) stay local *)
     let copts =
@@ -358,7 +362,8 @@ let noalias_arg =
          ~doc:"Assume pointer parameters have Fortran (no-alias) semantics")
 
 let vlen_arg =
-  Arg.(value & opt int 32 & info [ "vlen" ] ~docv:"N" ~doc:"Vector strip length")
+  Arg.(value & opt int 32 & info [ "vlen" ] ~docv:"N"
+         ~doc:"Vector strip length, at least 1")
 
 let procs_arg =
   Arg.(value & opt int 1 & info [ "procs"; "p" ] ~docv:"N"

@@ -8,30 +8,7 @@
 
      dune exec examples/backsolve.exe *)
 
-let source =
-  {|
-float x[2001], y[2000], z[2000];
-
-void backsolve(int n)
-{
-  float *p, *q;
-  int i;
-  p = &x[1];
-  q = &x[0];
-  for (i = 0; i < n - 2; i++)
-    p[i] = z[i] * (y[i] - q[i]);
-}
-
-int main()
-{
-  int i;
-  for (i = 0; i < 2000; i++) { y[i] = i * 0.25f; z[i] = 0.5f; }
-  x[0] = 2.0f;
-  backsolve(2000);
-  printf("x[1]=%g x[100]=%g x[1998]=%g\n", x[1], x[100], x[1998]);
-  return 0;
-}
-|}
+let source = Sources.backsolve
 
 let () =
   (* Timing runs call backsolve directly (entry point override), so the

@@ -7,29 +7,7 @@
 
      dune exec examples/daxpy_inline.exe *)
 
-let source =
-  {|
-void daxpy(float *x, float *y, float *z, float alpha, int n)
-{
-  if (n <= 0)
-    return;
-  if (alpha == 0)
-    return;
-  for (; n; n--)
-    *x++ = *y++ + alpha * *z++;
-}
-
-float a[100], b[100], c[100];
-
-int main()
-{
-  int i;
-  for (i = 0; i < 100; i++) { b[i] = 3 * i; c[i] = i + 1; }
-  daxpy(a, b, c, 1.0, 100);
-  printf("a[0]=%g a[1]=%g a[99]=%g\n", a[0], a[1], a[99]);
-  return 0;
-}
-|}
+let source = Sources.daxpy_inline
 
 let stage_of_interest = [ "front-end"; "inline"; "final" ]
 

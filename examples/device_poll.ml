@@ -12,27 +12,7 @@
 
      dune exec examples/device_poll.exe *)
 
-let source =
-  {|
-volatile int keyboard_status;
-int spins;
-
-int wait_for_key()
-{
-  keyboard_status = 0;
-  while (!keyboard_status)
-    spins++;
-  return keyboard_status;
-}
-
-int main()
-{
-  int code;
-  code = wait_for_key();
-  printf("key=%d after %d spins\n", code, spins);
-  return 0;
-}
-|}
+let source = Sources.device_poll
 
 let () =
   let prog, _ = Vpc.compile ~options:Vpc.o3 source in

@@ -11,59 +11,7 @@
 
      dune exec examples/graphics.exe *)
 
-let source =
-  {|
-#define NVERTS 512
-
-float xs[NVERTS], ys[NVERTS], zs[NVERTS], ws[NVERTS];
-float txs[NVERTS], tys[NVERTS], tzs[NVERTS], tws[NVERTS];
-float m[4][4];
-
-/* transform the vertex list by m (structure-of-arrays layout) */
-void transform_all()
-{
-  int v;
-  for (v = 0; v < NVERTS; v++) {
-    txs[v] = m[0][0] * xs[v] + m[0][1] * ys[v] + m[0][2] * zs[v] + m[0][3] * ws[v];
-    tys[v] = m[1][0] * xs[v] + m[1][1] * ys[v] + m[1][2] * zs[v] + m[1][3] * ws[v];
-    tzs[v] = m[2][0] * xs[v] + m[2][1] * ys[v] + m[2][2] * zs[v] + m[2][3] * ws[v];
-    tws[v] = m[3][0] * xs[v] + m[3][1] * ys[v] + m[3][2] * zs[v] + m[3][3] * ws[v];
-  }
-}
-
-/* one 4-vector by 4x4 matrix: trip count 4, short vectors */
-float vin[4], vout[4];
-void transform_one()
-{
-  int i;
-  for (i = 0; i < 4; i++)
-    vout[i] = m[i][0] * vin[0] + m[i][1] * vin[1]
-            + m[i][2] * vin[2] + m[i][3] * vin[3];
-}
-
-int main()
-{
-  int i, j;
-  float checksum;
-  for (i = 0; i < 4; i++)
-    for (j = 0; j < 4; j++)
-      m[i][j] = (i == j) ? 1.5f : 0.25f;
-  for (i = 0; i < NVERTS; i++) {
-    xs[i] = i * 0.1f;
-    ys[i] = i * 0.2f;
-    zs[i] = i * 0.3f;
-    ws[i] = 1.0f;
-  }
-  transform_all();
-  for (i = 0; i < 4; i++) vin[i] = i + 1.0f;
-  transform_one();
-  checksum = 0.0;
-  for (i = 0; i < NVERTS; i++) checksum += txs[i] + tys[i] + tzs[i] + tws[i];
-  printf("checksum=%g vout=[%g %g %g %g]\n", checksum,
-         vout[0], vout[1], vout[2], vout[3]);
-  return 0;
-}
-|}
+let source = Sources.graphics
 
 let () =
   let prog, stats = Vpc.compile ~options:Vpc.o3 source in

@@ -3,29 +3,7 @@
 
      dune exec examples/matmul.exe *)
 
-let source =
-  {|
-double a[48][96];
-double b[96][96];
-double c[48][96];
-
-int main()
-{
-  int i, j, k;
-  for (i = 0; i < 48; i = i + 1)
-    for (k = 0; k < 96; k = k + 1)
-      a[i][k] = (double)(i + 2 * k) * 0.5;
-  for (k = 0; k < 96; k = k + 1)
-    for (j = 0; j < 96; j = j + 1)
-      b[k][j] = (double)(k + 3 * j) * 0.25;
-  for (i = 0; i < 48; i = i + 1)
-    for (j = 0; j < 96; j = j + 1)
-      for (k = 0; k < 96; k = k + 1)
-        c[i][j] = c[i][j] + a[i][k] * b[k][j];
-  printf("c[24][48]=%g\n", c[24][48]);
-  return 0;
-}
-|}
+let source = Sources.matmul
 
 let () =
   (* a profile measured on the 4-processor machine tells the cost model

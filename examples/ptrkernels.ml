@@ -7,43 +7,7 @@
 
      dune exec examples/ptrkernels.exe *)
 
-let source =
-  {|
-void saxpy(float *d, float *s, float alpha, int n)
-{
-  int i;
-  for (i = 0; i < n; i++)
-    d[i] = d[i] + alpha * s[i];
-}
-
-float dot(float *x, float *y, int n)
-{
-  int i;
-  float acc;
-  acc = 0.0f;
-  for (i = 0; i < n; i++)
-    acc = acc + x[i] * y[i];
-  return acc;
-}
-
-float a[1024], b[1024], c[1024];
-
-int main()
-{
-  int i;
-  float s;
-  for (i = 0; i < 1024; i++) {
-    a[i] = i * 0.5f;
-    b[i] = (1024 - i) * 0.25f;
-    c[i] = 1.0f;
-  }
-  saxpy(a, b, 0.125f, 1024);
-  saxpy(c, b, 2.0f, 1024);
-  s = dot(a, c, 1024);
-  printf("a[0]=%g a[1023]=%g c[512]=%g s=%g\n", a[0], a[1023], c[512], s);
-  return 0;
-}
-|}
+let source = Sources.ptrkernels
 
 let () =
   (* four processors, like the paper's largest Titan: the strip loops

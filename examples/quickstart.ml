@@ -3,23 +3,7 @@
 
      dune exec examples/quickstart.exe *)
 
-let source =
-  {|
-float a[1000], b[1000], c[1000];
-
-int main()
-{
-  int i;
-  for (i = 0; i < 1000; i++) {
-    b[i] = i * 0.5f;
-    c[i] = 1000 - i;
-  }
-  for (i = 0; i < 1000; i++)
-    a[i] = b[i] * 2.0f + c[i];
-  printf("a[0]=%g a[500]=%g a[999]=%g\n", a[0], a[500], a[999]);
-  return 0;
-}
-|}
+let source = Sources.quickstart
 
 let () =
   (* compile at full optimization: inline + vectorize + parallelize *)

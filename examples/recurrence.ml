@@ -5,24 +5,7 @@
 
      dune exec examples/recurrence.exe *)
 
-let source =
-  {|
-double a[4200];
-int main() {
-  int i;
-  double t, p;
-  for (i = 0; i < 8; i = i + 1)
-    a[i] = 0.25 + (double)i * 0.0625;
-  for (i = 0; i < 4096; i++) {
-    t = a[i];
-    p = (t * 0.5 + 1.0) * (t - 0.25) + (t * t) * 0.125;
-    p = p * (t * 0.0625 - 2.0) + (t + 3.0) * 0.75;
-    a[i + 8] = p * 0.125 + t * 0.875;
-  }
-  printf("a[2048]=%g a[4103]=%g\n", a[2048], a[4103]);
-  return 0;
-}
-|}
+let source = Sources.recurrence
 
 let () =
   let config = { Vpc.Titan.Machine.default_config with procs = 4 } in

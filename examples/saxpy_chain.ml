@@ -5,28 +5,7 @@
 
      dune exec examples/saxpy_chain.exe *)
 
-let source =
-  {|
-double x[2048];
-double y[2048];
-double z[2048];
-double w[2048];
-
-int main()
-{
-  int i;
-  for (i = 0; i < 2048; i = i + 1)
-    x[i] = (double)(3 * i) * 0.125;
-  for (i = 0; i < 2048; i = i + 1)
-    y[i] = 2.0 * x[i] + 1.0;
-  for (i = 0; i < 2048; i = i + 1)
-    z[i] = 3.0 * x[i] + y[i];
-  for (i = 0; i < 2048; i = i + 1)
-    w[i] = z[i] - x[i];
-  printf("y[777]=%g z[1024]=%g w[2047]=%g\n", y[777], z[1024], w[2047]);
-  return 0;
-}
-|}
+let source = Sources.saxpy_chain
 
 let () =
   let config = { Vpc.Titan.Machine.default_config with procs = 1 } in

@@ -10,58 +10,7 @@
 
      dune exec examples/symbolic.exe *)
 
-let source =
-  {|
-void shift(float *a, int n, int k)
-{
-  int i;
-  for (i = 0; i < n; i++)
-    a[i] = a[i + k];
-}
-
-void smooth(float *a, int n, int k)
-{
-  int i;
-  for (i = 0; i < n; i++)
-    a[i] = 0.5f * (a[i + k] + a[i + k + 1]);
-}
-
-void scale2(float *d, int m)
-{
-  int i;
-  for (i = 0; i < 32 * m; i++)
-    d[i] = d[i] * 2.0f;
-}
-
-float buf[1024];
-float img[2048];
-
-int main()
-{
-  int i, r;
-  float sb, si;
-  for (i = 0; i < 1024; i++)
-    buf[i] = 0.5f + (float)i * 0.01f;
-  for (i = 0; i < 2048; i++)
-    img[i] = (float)(2048 - i) * 0.125f;
-  for (r = 0; r < 4; r++) {
-    shift(buf, 256, 640);
-    shift(buf, 128, 768);
-    smooth(img, 500, 1000);
-    smooth(img, 400, 1024);
-    scale2(buf, 8);
-    scale2(buf, 4);
-  }
-  sb = 0.0f;
-  for (i = 0; i < 1024; i++)
-    sb = sb + buf[i];
-  si = 0.0f;
-  for (i = 0; i < 2048; i++)
-    si = si + img[i];
-  printf("buf sum %g  img sum %g\n", sb, si);
-  return 0;
-}
-|}
+let source = Sources.symbolic
 
 let () =
   let config = { Vpc.Titan.Machine.default_config with procs = 4 } in

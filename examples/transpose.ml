@@ -4,24 +4,7 @@
 
      dune exec examples/transpose.exe *)
 
-let source =
-  {|
-double a[32][64];
-double b[64][32];
-
-int main()
-{
-  int i, j;
-  for (i = 0; i < 32; i = i + 1)
-    for (j = 0; j < 64; j = j + 1)
-      a[i][j] = (double)(i + 2 * j) * 0.5;
-  for (i = 0; i < 32; i = i + 1)
-    for (j = 0; j < 64; j = j + 1)
-      b[j][i] = a[i][j];
-  printf("b[32][16]=%g\n", b[32][16]);
-  return 0;
-}
-|}
+let source = Sources.transpose
 
 let () =
   let report = Some (fun line -> Printf.printf "[report] %s\n" line) in

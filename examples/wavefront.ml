@@ -5,25 +5,7 @@
 
      dune exec examples/wavefront.exe *)
 
-let source =
-  {|
-double u[8400];
-int main() {
-  int k;
-  double s, q, r, w;
-  for (k = 0; k < 64; k = k + 1)
-    u[k] = 0.25 + (double)k * 0.015625;
-  for (k = 0; k < 8192; k++) {
-    s = u[k] * 0.3 + u[k + 1] * 0.3;
-    q = u[k] * u[k + 1];
-    r = q * (1.0 - q * 0.5) * 0.02 + s;
-    w = q * (0.5 + q * 0.25) * 0.015625;
-    u[k + 64] = u[k + 64] * 0.35 + r + w + 0.05;
-  }
-  printf("u[4096]=%.15g u[8255]=%.15g\n", u[4096], u[8255]);
-  return 0;
-}
-|}
+let source = Sources.wavefront
 
 let () =
   let config = { Vpc.Titan.Machine.default_config with procs = 4 } in

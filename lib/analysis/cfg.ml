@@ -27,8 +27,6 @@ let node t id =
   | Some n -> n
   | None -> Diag.internal "cfg: unknown node %d" id
 
-let stmt_of t id = (node t id).stmt
-
 let succs t id = (node t id).succs
 let preds t id = (node t id).preds
 
@@ -124,12 +122,6 @@ let reachable t =
   set
 
 let iter_rpo f t = List.iter (fun id -> f id (node t id)) t.rpo
-
-(* All statement ids inside a statement subtree (including itself). *)
-let subtree_ids (s : Stmt.t) =
-  let acc = ref [] in
-  Stmt.iter (fun s -> acc := s.Stmt.id :: !acc) s;
-  !acc
 
 (* Does any goto outside [body] target a label inside it?  Needed by
    while→DO conversion ("branches are entering the loop", §5.2), and the

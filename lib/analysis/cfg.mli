@@ -23,7 +23,6 @@ type t = {
 
 val build : Func.t -> t
 val node : t -> int -> node
-val stmt_of : t -> int -> Stmt.t option
 val succs : t -> int -> int list
 val preds : t -> int -> int list
 
@@ -32,12 +31,6 @@ val reachable : t -> (int, unit) Hashtbl.t
 
 (** Iterate in reverse postorder (good order for forward dataflow). *)
 val iter_rpo : (int -> node -> unit) -> t -> unit
-
-(** All statement ids in a subtree, including the root. *)
-val subtree_ids : Stmt.t -> int list
-
-(** Labels defined inside a statement list. *)
-val labels_in : Stmt.t list -> (string, unit) Hashtbl.t
 
 (** Does any goto outside [body] target a label inside it?  The §5.2
     "branches are entering the loop" check. *)

@@ -6,7 +6,6 @@ open Vpc_il
 
 type t
 
-val uses_of : Stmt.t -> int list
 val def_of : Stmt.t -> int option
 val build : Func.t -> t
 

@@ -10,9 +10,6 @@ val wrap32 : int -> int
 (** Fold an integer binop; [None] when undefined (division by zero). *)
 val fold_int_binop : Expr.binop -> int -> int -> int option
 
-val fold_float_binop :
-  Expr.binop -> float -> float -> [ `F of float | `I of int ] option
-
 (** One bottom-up simplification pass: constant folding, x+0 / x*1 /
     x*0-style identities, (x+c1)+c2 reassociation.  Result types are
     preserved. *)

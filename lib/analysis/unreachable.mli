@@ -9,8 +9,6 @@ open Vpc_il
 type stats = { mutable removed : int }
 
 val new_stats : unit -> stats
-val quick_pass : Func.t -> stats -> bool
-val cfg_pass : Func.t -> stats -> bool
 
 (** Both passes; [true] if anything was removed. *)
 val run : ?stats:stats -> Func.t -> bool

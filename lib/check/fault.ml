@@ -24,9 +24,6 @@ let kinds =
 
 let of_string s = List.assoc_opt s kinds
 
-let to_string k =
-  fst (List.find (fun (_, k') -> k' = k) kinds)
-
 (* Rewrite the first statement [pick] accepts, in any function. *)
 let rewrite_first (prog : Prog.t) (pick : Stmt.t -> Stmt.t option) : bool =
   let done_ = ref false in

@@ -30,5 +30,4 @@ type kind =
 
 val kinds : (string * kind) list
 val of_string : string -> kind option
-val to_string : kind -> string
 val inject : kind -> Prog.t -> bool

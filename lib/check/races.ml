@@ -933,8 +933,3 @@ let check_func ?(assume_noalias = false) ?pointsto ?range prog func =
       | _ -> ())
     func.Func.body;
   List.rev ctx.acc
-
-let check_prog ?assume_noalias ?pointsto ?range prog =
-  List.concat_map
-    (check_func ?assume_noalias ?pointsto ?range prog)
-    prog.Prog.funcs

@@ -53,10 +53,3 @@ val check_func :
   Prog.t ->
   Func.t ->
   Report.violation list
-
-val check_prog :
-  ?assume_noalias:bool ->
-  ?pointsto:Vpc_pointsto.Pointsto.t ->
-  ?range:Vpc_range.Range.t ->
-  Prog.t ->
-  Report.violation list

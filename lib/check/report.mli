@@ -16,12 +16,9 @@ type violation = {
 val v :
   rule:string -> func:string -> ?stmt:int -> ?loc:Loc.t -> string -> violation
 
-(** Order by source location (dummy locations last), then by the
-    remaining fields, so reports are deterministic across runs. *)
-val compare_by_loc : violation -> violation -> int
-
-(** Stable sort by {!compare_by_loc}: apply before emission. *)
+(** Stable sort by source location (dummy locations last), then by the
+    remaining fields, so reports are deterministic across runs: apply
+    before emission. *)
 val sort : violation list -> violation list
 
-val pp : Format.formatter -> violation -> unit
 val to_string : violation -> string

@@ -14,22 +14,12 @@ exception Failed of Vpc_support.Diag.t list
     pass, or after every pass of every function. *)
 type level = [ `Off | `Final | `Each_stage ]
 
-val check_func :
-  ?assume_noalias:bool ->
-  ?pointsto:Vpc_pointsto.Pointsto.t ->
-  ?range:Vpc_range.Range.t ->
-  Prog.t ->
-  Func.t ->
-  Report.violation list
-
 val check_prog :
   ?assume_noalias:bool ->
   ?pointsto:Vpc_pointsto.Pointsto.t ->
   ?range:Vpc_range.Range.t ->
   Prog.t ->
   Report.violation list
-
-val diag_of : pass:string -> Report.violation -> Vpc_support.Diag.t
 
 val run_func :
   ?assume_noalias:bool ->

@@ -489,9 +489,6 @@ let check_func prog func =
   Stmt.iter_list (check_stmt ctx) func.Func.body;
   List.rev ctx.acc
 
-let check_prog prog =
-  List.concat_map (check_func prog) prog.Prog.funcs
-
 (* ------------------------------------------------------------------ *)
 (* Advisories                                                         *)
 (* ------------------------------------------------------------------ *)

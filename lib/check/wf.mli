@@ -32,7 +32,6 @@
 open Vpc_il
 
 val check_func : Prog.t -> Func.t -> Report.violation list
-val check_prog : Prog.t -> Report.violation list
 
 (** Advisory checks: likely-bug patterns that are nevertheless legal IL,
     so they must not fail the verifier — degenerate DO loops whose

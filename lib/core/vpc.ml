@@ -35,45 +35,8 @@ module Pointsto = Vpc_pointsto
 module Range = Vpc_range
 module Tune = Vpc_tune
 
-(* A resolved autotuning plan: per-nest configurations keyed by source
-   location (every loop header of a tuned nest maps to its nest's
-   configuration) plus per-call-site inline verdicts.  [`Use] resolves a
-   fingerprint-keyed store into this form with a scout compile; the
-   search driver ({!tune}) builds it directly. *)
-type tune_plan = {
-  tp_nests : (Support.Loc.t * Tune.Config.t) list;
-  tp_calls : (Support.Loc.t * bool) list;
-}
-
-(* Fold (nest, configuration) pairs into a plan: each loop header of a
-   nest maps to its configuration, each call site in it to the
-   configuration's verdict for the callee.  Later pairs land in front,
-   and lookups take the first match. *)
-let plan_of pairs =
-  List.fold_left
-    (fun acc ((n : Tune.Fingerprint.nest), (cfg : Tune.Config.t)) ->
-      {
-        tp_nests =
-          List.map (fun l -> (l, cfg)) n.Tune.Fingerprint.loop_locs
-          @ acc.tp_nests;
-        tp_calls =
-          List.filter_map
-            (fun (site, callee) ->
-              Option.map
-                (fun v -> (site, v))
-                (List.assoc_opt callee cfg.Tune.Config.inline_calls))
-            n.Tune.Fingerprint.calls
-          @ acc.tp_calls;
-      })
-    { tp_nests = []; tp_calls = [] }
-    pairs
-
 (* The optimizer's on/off switches. *)
-type switch =
-  [ `Scalar_opt | `While_conversion | `Indvar_substitution
-  | `Strength_reduction | `Vectorize | `Parallelize | `Scalar_replacement
-  | `Doacross | `Doacross_sync | `Pointsto | `Range | `Inline | `Interchange
-  | `Fuse | `Vreuse ]
+type switch = Tune.Decide.switch
 
 type switch_row = {
   switch : switch;
@@ -159,7 +122,7 @@ type options = {
   why_scalar : (string -> unit) option;
       (* one line per loop left scalar: the unresolved alias pair with
          source locations, the rejecting statement, or the cycle *)
-  tune : [ `Off | `Use of Profile.Tuned.t | `Plan of tune_plan ];
+  tune : [ `Off | `Use of Profile.Tuned.t | `Plan of Tune.Decide.plan ];
       (* autotuned per-nest overrides: [`Use store] replays winners from
          a fingerprint-keyed store (a scout compile maps fingerprints
          back to this program's loops); [`Plan] applies an already
@@ -171,6 +134,22 @@ let enabled options sw =
   (not (List.mem sw options.off))
   && ((List.find (fun r -> r.switch = sw) switches).level <= options.level
      || (sw = `Inline && options.inline_only <> []))
+
+(* The decision context every cost-gated pass reads, built once per
+   compile. *)
+let decide ?plan options =
+  {
+    Tune.Decide.switches =
+      List.filter_map
+        (fun r -> if enabled options r.switch then Some r.switch else None)
+        switches;
+    assume_noalias = options.assume_noalias;
+    vlen = options.vlen;
+    profile = options.profile;
+    plan;
+    report = options.report;
+    why_scalar = options.why_scalar;
+  }
 
 let at_level level =
   {
@@ -280,17 +259,10 @@ let scout_options options =
 (* What a per-function pass sees. *)
 type ctx = {
   prog : Il.Prog.t;
-  options : options;
+  decide : Tune.Decide.t;
   stats : stats;
-  plan : tune_plan option;
   range : Range.Range.t option;  (* whole-program parameter seeding *)
 }
-
-let nest_cfg ctx loc =
-  Option.bind ctx.plan (fun p -> List.assoc_opt loc p.tp_nests)
-
-let bool_gate ctx get =
-  Option.map (fun _ loc -> Option.bind (nest_cfg ctx loc) get) ctx.plan
 
 (* A lazy per-function range dataflow over [f]'s body as it is now.
    Passes renumber statements, so each consumer takes a fresh one;
@@ -310,29 +282,6 @@ let range_interval env_at s e =
   | Some env ->
       let itv = Range.Range.interval_of_expr env e in
       (itv.Range.Range.Interval.lo, itv.Range.Range.Interval.hi)
-
-(* A tuned nest's vectorizer decision, ahead of the static policy. *)
-let vectorize_tune ctx =
-  Option.map
-    (fun _ (s : Il.Stmt.t) ->
-      Option.bind (nest_cfg ctx s.Il.Stmt.loc) (fun (c : Tune.Config.t) ->
-          let choice keep par =
-            Some
-              {
-                Vectorize.Vectorize.keep_scalar = keep;
-                strip_parallel = par;
-                scalar_parallel = par;
-                chosen_vlen =
-                  Option.value c.Tune.Config.strip ~default:ctx.options.vlen;
-              }
-          in
-          match (c.Tune.Config.mode, c.Tune.Config.strip) with
-          | Some Tune.Config.Scalar, _ -> choice true false
-          | Some Tune.Config.Vector, _ -> choice false false
-          | Some Tune.Config.Parallel, _ -> choice false true
-          | None, Some _ -> choice false (enabled ctx.options `Parallelize)
-          | None, None -> None))
-    ctx.plan
 
 type pass = {
   pass : string;  (* checkpoint stage and [--timings] bucket *)
@@ -382,39 +331,17 @@ let passes =
        strip loop), then interchange (the merged nest is reordered as a
        whole). *)
     step "fuse" `Fuse (fun ctx f ->
-        let o = ctx.options in
-        let options =
-          {
-            Transform.Fuse.assume_noalias = o.assume_noalias;
-            parallelize = enabled o `Parallelize;
-            vlen = o.vlen;
-            profile = o.profile;
-            report = o.report;
-            tune = bool_gate ctx (fun c -> c.Tune.Config.fuse);
-          }
-        in
-        ignore (Transform.Fuse.run ~options ~stats:ctx.stats.fuse ctx.prog f));
-    step "interchange" `Interchange (fun ctx f ->
-        let o = ctx.options in
-        let options =
-          {
-            Transform.Interchange.assume_noalias = o.assume_noalias;
-            parallelize = enabled o `Parallelize;
-            vlen = o.vlen;
-            profile = o.profile;
-            report = o.report;
-            tune = bool_gate ctx (fun c -> c.Tune.Config.interchange);
-          }
-        in
         ignore
-          (Transform.Interchange.run ~options ~stats:ctx.stats.interchange
+          (Transform.Fuse.run ~stats:ctx.stats.fuse ctx.decide ctx.prog f));
+    step "interchange" `Interchange (fun ctx f ->
+        ignore
+          (Transform.Interchange.run ~stats:ctx.stats.interchange ctx.decide
              ctx.prog f));
     {
       pass = "vectorize";
       gate = (fun on -> on `Vectorize || on `Parallelize);
       run =
         (fun ctx f ->
-          let o = ctx.options in
           let range =
             Option.map
               (fun env_at ->
@@ -439,59 +366,22 @@ let passes =
                 })
               (range_env_at ctx f)
           in
-          let options =
-            {
-              Vectorize.Vectorize.vectorize = enabled o `Vectorize;
-              parallelize = enabled o `Parallelize;
-              vlen = o.vlen;
-              assume_noalias = o.assume_noalias;
-              fuse_strips = enabled o `Fuse;
-              profile = o.profile;
-              report = o.report;
-              vreuse = enabled o `Vreuse;
-              why_scalar = o.why_scalar;
-              range;
-              tune = vectorize_tune ctx;
-            }
-          in
           ignore
-            (Vectorize.Vectorize.run ~options ~stats:ctx.stats.vectorize
-               ctx.prog f));
+            (Vectorize.Vectorize.run ~stats:ctx.stats.vectorize ?range
+               ctx.decide ctx.prog f));
     };
     step "vreuse" `Vreuse (fun ctx f ->
-        let o = ctx.options in
-        let options =
-          {
-            Transform.Vreuse.assume_noalias = o.assume_noalias;
-            profile = o.profile;
-            report = o.report;
-            tune = bool_gate ctx (fun c -> c.Tune.Config.vreuse);
-          }
-        in
         ignore
-          (Transform.Vreuse.run ~options ~stats:ctx.stats.vreuse ctx.prog f));
+          (Transform.Vreuse.run ~stats:ctx.stats.vreuse ctx.decide ctx.prog f));
     {
       pass = "doacross";
       gate = (fun on -> on `Doacross || on `Doacross_sync);
       run =
         (fun ctx f ->
-          let o = ctx.options in
-          let options =
-            {
-              Transform.Doacross.default_options with
-              Transform.Doacross.pragma = enabled o `Doacross;
-              sync = enabled o `Doacross_sync;
-              assume_noalias = o.assume_noalias;
-              profile = o.profile;
-              report = o.report;
-              why_scalar = o.why_scalar;
-              range = Option.map range_interval (range_env_at ctx f);
-              tune = bool_gate ctx (fun c -> c.Tune.Config.doacross);
-            }
-          in
           ignore
-            (Transform.Doacross.run ~stats:ctx.stats.doacross ~options ctx.prog
-               f));
+            (Transform.Doacross.run ~stats:ctx.stats.doacross
+               ?range:(Option.map range_interval (range_env_at ctx f))
+               ctx.decide ctx.prog f));
     };
     step "scalar-replacement" `Scalar_replacement (fun ctx f ->
         ignore
@@ -518,8 +408,8 @@ let rec optimize ?(options = default_options) ?(stats = new_stats ()) ?timer
      mutates [prog]: [`Use] fingerprints a scout clone (which runs the
      same prefix pipeline, including its own catalog import) and maps
      matching store records back to this program's loops.  An empty store
-     resolves to no plan, so every tuning hook stays [None] and the
-     compile is byte-identical to an untuned one. *)
+     resolves to no plan, so no override answers and the compile is
+     byte-identical to an untuned one. *)
   let plan =
     match options.tune with
     | `Off -> None
@@ -539,9 +429,10 @@ let rec optimize ?(options = default_options) ?(stats = new_stats ()) ?timer
                        | exception _ -> None (* unknown fields: skip *)
                        | cfg -> Some (n, cfg))
                  in
-                 plan_of
+                 Tune.Decide.plan_of
                    (List.filter_map stored (Tune.Fingerprint.nests clone))))
   in
+  let decide = decide ?plan options in
   timed "catalog-import" (fun () ->
       List.iter
         (fun file -> Inline.Catalog.import ~into:prog (Inline.Catalog.load file))
@@ -584,26 +475,14 @@ let rec optimize ?(options = default_options) ?(stats = new_stats ()) ?timer
   if on `Inline then begin
     timed "inline" (fun () ->
         Inline.Inline.expand
-          ~options:
-            {
-              Inline.Inline.default_options with
-              only =
-                (match options.inline_only with [] -> None | ns -> Some ns);
-              profile = options.profile;
-              pointsto = !pt;
-              report = options.report;
-              site_tune =
-                Option.map
-                  (fun p loc -> List.assoc_opt loc p.tp_calls)
-                  plan;
-            }
-          ~stats:stats.inline prog);
+          ?only:(match options.inline_only with [] -> None | ns -> Some ns)
+          ?pointsto:!pt ~stats:stats.inline decide prog);
     pt := analyze_pointsto ();
     rt := analyze_range ();
     install_oracle ();
     after_prog_pass ?pointsto:!pt ?range:!rt options prog "inline"
   end;
-  let ctx = { prog; options; stats; plan; range = !rt } in
+  let ctx = { prog; decide; stats; range = !rt } in
   let active = List.filter (fun p -> p.gate on) passes in
   timed "transforms" (fun () ->
       List.iter
@@ -740,18 +619,9 @@ let tune ?(options = default_options) ?(config = Titan.Machine.default_config)
     ignore (optimize ~options:(scout_options options) p);
     Tune.Fingerprint.nests p
   in
+  let decide = decide options in
   let score (n : Tune.Fingerprint.nest) =
-    let measured =
-      match options.profile with
-      | None -> None
-      | Some data -> (
-          match Profile.Key.of_loc n.Tune.Fingerprint.loc with
-          | None -> None
-          | Some key -> (
-              match Profile.Data.find_loop data key with
-              | None -> None
-              | Some lp -> Profile.Data.mean_trips lp))
-    in
+    let measured = Tune.Decide.trips decide n.Tune.Fingerprint.loc in
     match (measured, n.Tune.Fingerprint.trips) with
     | Some t, None :: _ when t > 0 -> n.Tune.Fingerprint.weight * t
     | _ -> n.Tune.Fingerprint.weight
@@ -838,7 +708,7 @@ let tune ?(options = default_options) ?(config = Titan.Machine.default_config)
            || cfg.Tune.Config.vreuse = Some true)
       in
       let eval (cfg : Tune.Config.t) =
-        let plan = plan_of ((n, cfg) :: !winners) in
+        let plan = Tune.Decide.plan_of ((n, cfg) :: !winners) in
         let p = compile_with (Some plan) in
         let r = simulate p in
         if matches r then Some r.Titan.Machine.metrics.Titan.Machine.cycles

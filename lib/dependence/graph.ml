@@ -421,8 +421,4 @@ let has_carried_cycle t members =
       e.carried && List.mem e.src members && List.mem e.dst members)
     t.edges
 
-(* Any carried dependence whose endpoints are this single statement. *)
-let self_carried t pos =
-  List.exists (fun e -> e.carried && e.src = pos && e.dst = pos) t.edges
-
 let carried_edges t = List.filter (fun e -> e.carried) t.edges

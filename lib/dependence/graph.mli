@@ -46,5 +46,4 @@ val sccs : t -> int list list
 (** Does the component carry a dependence around itself? *)
 val has_carried_cycle : t -> int list -> bool
 
-val self_carried : t -> int -> bool
 val carried_edges : t -> edge list

@@ -48,7 +48,6 @@ type t = {
 }
 
 let depth t = List.length t.levels
-let indices t = List.map (fun l -> l.index) t.levels
 
 (* ---- structural extraction ---- *)
 

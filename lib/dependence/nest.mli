@@ -5,8 +5,6 @@
 
 open Vpc_il
 
-val max_depth : int
-
 type level = {
   index : int;           (** the level's loop variable *)
   loop_stmt : Stmt.t;    (** original Do_loop statement (ids, locs) *)
@@ -34,13 +32,6 @@ type t = {
 }
 
 val depth : t -> int
-val indices : t -> int list
-
-(** Structure only: the chain of normalized DO loops (each level a
-    prefix of scalar assignments plus one inner loop) and the innermost
-    body.  [None] below [min_depth] (default 2; fusion passes 1 to
-    treat a flat loop as a unit). *)
-val extract : ?min_depth:int -> Stmt.t -> (level list * Stmt.t list) option
 
 (** Full analysis: [None] unless the nest is rectangular with hoistable
     prefixes, a stores-only innermost body, every reference affine in
@@ -56,9 +47,6 @@ val analyze :
 (** Lexicographic sign of a direction vector: 1 when the leading non-=
     entry is <, -1 when it is >, 0 when all =. *)
 val lex_sign : Test.direction list -> int
-
-(** Entry [k] of the result is entry [perm.(k)] of the input. *)
-val permute : int array -> 'a list -> 'a list
 
 (** Every permuted direction vector stays lexicographically
     non-negative. *)

@@ -21,18 +21,7 @@ type verdict =
     defaults to [None]). *)
 val dep : ?dist_lo:int -> int option -> verdict
 
-val gcd : int -> int -> int
-
 type bound = int option  (** iteration count; [None] = unknown *)
-
-val ziv : delta:int -> verdict
-val strong_siv : c:int -> delta:int -> trip:bound -> verdict
-
-(** One reference invariant (stride 0): at most one conflicting
-    iteration. *)
-val weak_zero_siv : c:int -> delta:int -> trip:bound -> verdict
-val gcd_test : c1:int -> c2:int -> delta:int -> bool
-val banerjee : c1:int -> c2:int -> delta:int -> trip:bound -> bool
 
 (** The dispatcher: picks the strongest applicable test.  Sound: never
     reports [Independent] when a conflict exists (property-tested against

@@ -29,7 +29,6 @@ and desc =
 
 let mk desc ty = { desc; ty }
 let int_const n = mk (Const_int n) Ty.Int
-let char_const c = mk (Const_int (Char.code c)) Ty.Char
 let float_const ?(ty = Ty.Double) f = mk (Const_float f) ty
 let var (v : Var.t) = mk (Var v.id) v.ty
 let var_id id ty = mk (Var id) ty
@@ -54,9 +53,7 @@ let binop op a b ty = mk (Binop (op, a, b)) ty
 let unop op a ty = mk (Unop (op, a)) ty
 let cast ty a = if Ty.equal ty a.ty then a else mk (Cast (ty, a)) ty
 
-let add a b = binop Add a b a.ty
 let sub a b = binop Sub a b a.ty
-let mul a b = binop Mul a b a.ty
 
 let is_zero e =
   match e.desc with

@@ -27,7 +27,6 @@ and desc =
 
 val mk : desc -> Ty.t -> t
 val int_const : int -> t
-val char_const : char -> t
 val float_const : ?ty:Ty.t -> float -> t
 val var : Var.t -> t
 val var_id : int -> Ty.t -> t
@@ -44,9 +43,7 @@ val unop : unop -> t -> Ty.t -> t
 (** Identity when the types already match. *)
 val cast : Ty.t -> t -> t
 
-val add : t -> t -> t
 val sub : t -> t -> t
-val mul : t -> t -> t
 
 (** {1 Predicates and queries} *)
 
@@ -61,7 +58,6 @@ val equal : t -> t -> bool
     a read). *)
 val read_vars : t -> int list
 
-val vars_read : int list -> t -> int list
 val vars_addressed : int list -> t -> int list
 val contains_load : t -> bool
 

@@ -21,10 +21,6 @@ let as_int = function
 
 let as_float = function V_float f -> f | V_int n -> float_of_int n
 
-let pp_value ppf = function
-  | V_int n -> Fmt.int ppf n
-  | V_float f -> Fmt.pf ppf "%g" f
-
 (* 32-bit wrap-around semantics for int arithmetic, matching the target. *)
 let wrap32 n = (n land 0xFFFFFFFF) - (if n land 0x80000000 <> 0 then 1 lsl 32 else 0)
 
@@ -689,30 +685,3 @@ let run ?max_steps ?on_volatile_read ?(entry = "main") ?(args = []) prog =
     fp_ops = st.float_ops;
     steps_executed = st.steps;
   }
-
-(* Run and read back the final contents of a global array of [n] elements
-   — how most tests observe results. *)
-let global_array_values st prog name n =
-  let g =
-    List.find_opt (fun (g : Prog.global) -> g.gvar.name = name) (Prog.globals_list prog)
-  in
-  match g with
-  | None -> error "no global named %s" name
-  | Some g ->
-      let elt = match g.gvar.ty with Ty.Array (e, _) -> e | t -> t in
-      let size = Ty.sizeof prog.structs elt in
-      let addr = Hashtbl.find st.global_addrs g.gvar.Var.id in
-      List.init n (fun i -> load_scalar st elt (addr + (i * size)))
-
-let run_with_state ?max_steps ?on_volatile_read ?(entry = "main") ?(args = [])
-    prog =
-  let st = create_state ?max_steps ?on_volatile_read prog in
-  let f = Prog.func_exn prog entry in
-  let return_value = run_function st f args in
-  ( st,
-    {
-      return_value;
-      stdout_text = Buffer.contents st.output;
-      fp_ops = st.float_ops;
-      steps_executed = st.steps;
-    } )

@@ -13,12 +13,6 @@ exception Runtime_error of string
 (** Raised when [max_steps] is exceeded. *)
 exception Timeout
 
-val as_int : value -> int
-val as_float : value -> float
-val pp_value : Format.formatter -> value -> unit
-
-type state
-
 type result = {
   return_value : value;
   stdout_text : string;   (** everything printf/puts/putchar produced *)
@@ -36,16 +30,3 @@ val run :
   ?args:value list ->
   Prog.t ->
   result
-
-(** Like {!run} but also returns the machine state for post-mortem reads
-    (see {!global_array_values}). *)
-val run_with_state :
-  ?max_steps:int ->
-  ?on_volatile_read:(Var.t -> value option) ->
-  ?entry:string ->
-  ?args:value list ->
-  Prog.t ->
-  state * result
-
-(** The final contents of global array [name], first [n] elements. *)
-val global_array_values : state -> Prog.t -> string -> int -> value list

@@ -159,9 +159,6 @@ let pp_func prog ppf (f : Func.t) =
 
 let func_to_string prog f = Fmt.str "%a" (pp_func prog) f
 
-let stmts_to_string prog func stmts =
-  Fmt.str "%a" (pp_stmts { prog; func = Some func } ~indent:2) stmts
-
 let pp_prog ppf (p : Prog.t) =
   List.iter
     (fun (g : Prog.global) ->

@@ -5,15 +5,7 @@
 
 type env = { prog : Prog.t; func : Func.t option }
 
-val var_name : env -> int -> string
 val pp_expr : env -> ?prec:int -> Format.formatter -> Expr.t -> unit
-val pp_lvalue : env -> Format.formatter -> Stmt.lvalue -> unit
-val pp_section : env -> Format.formatter -> Stmt.section -> unit
-val pp_vexpr : env -> ?prec:int -> Format.formatter -> Stmt.vexpr -> unit
-val pp_stmt : env -> indent:int -> Format.formatter -> Stmt.t -> unit
-val pp_stmts : env -> indent:int -> Format.formatter -> Stmt.t list -> unit
-val pp_func : Prog.t -> Format.formatter -> Func.t -> unit
 val func_to_string : Prog.t -> Func.t -> string
-val stmts_to_string : Prog.t -> Func.t -> Stmt.t list -> string
 val pp_prog : Format.formatter -> Prog.t -> unit
 val prog_to_string : Prog.t -> string

@@ -37,7 +37,5 @@ val find_var : t -> Func.t option -> int -> Var.t option
 
 val var_exn : t -> Func.t option -> int -> Var.t
 val globals_list : t -> global list
-val ginit_to_sexp : ginit -> Vpc_support.Sexp.t
-val ginit_of_sexp : Vpc_support.Sexp.t -> ginit
 val to_sexp : t -> Vpc_support.Sexp.t
 val of_sexp : Vpc_support.Sexp.t -> t

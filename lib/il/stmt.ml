@@ -206,14 +206,6 @@ let defined_var s =
 let shallow_uses s =
   List.concat_map Expr.read_vars (shallow_exprs s)
 
-let writes_memory s =
-  match s.desc with
-  | Assign (Lmem _, _) | Vector _ -> true
-  | Call _ -> true  (* conservative: callee may write anything reachable *)
-  | Assign (Lvar _, _) | If _ | While _ | Do_loop _ | Goto _ | Label _
-  | Return _ | Vdef _ | Nop ->
-      false
-
 (* Serialization --------------------------------------------------------- *)
 
 let lvalue_to_sexp = function

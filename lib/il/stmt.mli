@@ -123,17 +123,8 @@ val defined_var : t -> int option
 (** Variables read by this statement itself (shallow). *)
 val shallow_uses : t -> int list
 
-(** Conservative: does executing this statement write memory? *)
-val writes_memory : t -> bool
-
 (** {1 Serialization} *)
 
-val lvalue_to_sexp : lvalue -> Vpc_support.Sexp.t
-val lvalue_of_sexp : Vpc_support.Sexp.t -> lvalue
-val section_to_sexp : section -> Vpc_support.Sexp.t
-val section_of_sexp : Vpc_support.Sexp.t -> section
-val vexpr_to_sexp : vexpr -> Vpc_support.Sexp.t
-val vexpr_of_sexp : Vpc_support.Sexp.t -> vexpr
 val dsync_to_sexp : dsync -> Vpc_support.Sexp.t
 val dsync_of_sexp : Vpc_support.Sexp.t -> dsync
 val to_sexp : t -> Vpc_support.Sexp.t

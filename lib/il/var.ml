@@ -33,8 +33,6 @@ let is_memory_object v =
 let is_global v =
   match v.storage with Global | Extern | Static -> true | Auto | Param -> false
 
-let pp ppf v = Fmt.pf ppf "%s#%d" v.name v.id
-
 let storage_to_string = function
   | Auto -> "auto"
   | Param -> "param"

@@ -36,8 +36,6 @@ val is_memory_object : t -> bool
 (** Static, global, or extern: storage that outlives the activation. *)
 val is_global : t -> bool
 
-val pp : Format.formatter -> t -> unit
 val storage_to_string : storage -> string
-val storage_of_string : string -> storage
 val to_sexp : t -> Vpc_support.Sexp.t
 val of_sexp : Vpc_support.Sexp.t -> t

@@ -13,8 +13,4 @@ type renaming = {
 (** Identity on ids absent from the map (globals stay shared). *)
 val map_var : renaming -> int -> int
 
-val map_label : renaming -> string -> string
-val clone_expr : renaming -> Expr.t -> Expr.t
-val clone_lvalue : renaming -> Stmt.lvalue -> Stmt.lvalue
-val clone_stmt : renaming -> Stmt.t -> Stmt.t
 val clone_stmts : renaming -> Stmt.t list -> Stmt.t list

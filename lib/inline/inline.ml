@@ -17,37 +17,13 @@ open Vpc_il
 module Profile = Vpc_profile
 module Pointsto = Vpc_pointsto.Pointsto
 
-type options = {
-  max_callee_stmts : int;  (* size threshold for automatic inlining *)
-  max_depth : int;
-  only : string list option;  (* when set, inline only these callees *)
-  profile : Profile.Data.t option;
-      (* measured call counts/cycles: rank sites, skip cold ones *)
-  pointsto : Pointsto.t option;
-      (* mod/ref summaries: a call inside a loop whose summary starves
-         the dependence test is the §7 motivation for inlining — rank
-         such sites first *)
-  max_total_growth : int;
-      (* per-caller statement budget, enforced only with a profile *)
-  report : (string -> unit) option;
-  site_tune : (Vpc_support.Loc.t -> bool option) option;
-      (* autotuned per-call-site override, keyed by the call's location:
-         [Some false] keeps the call, [Some true] inlines past the size
-         threshold and the profile plan (the recursion cutoff still
-         applies); [None] follows the static/profile policy *)
-}
+module Decide = Vpc_tune.Decide
 
-let default_options =
-  {
-    max_callee_stmts = 200;
-    max_depth = 8;
-    only = None;
-    profile = None;
-    pointsto = None;
-    max_total_growth = 4000;
-    report = None;
-    site_tune = None;
-  }
+(* Expansion-chain bound: the recursion cutoff. *)
+let max_depth = 8
+
+(* Per-caller statement budget, enforced only with a profile. *)
+let max_total_growth = 4000
 
 type stats = {
   mutable calls_inlined : int;
@@ -168,14 +144,15 @@ let expand_call (prog : Prog.t) (caller : Func.t) (callee : Func.t)
    keeping points-to-only compilation byte-identical to the §7 policy. *)
 type site_verdict = Inline_site | Cold_site | Budget_site
 
-let plan_sites (opts : options) stats (prog : Prog.t) (caller : Func.t)
-    ~eligible : (int, site_verdict) Hashtbl.t =
+let plan_sites (decide : Decide.t) ~pointsto ~max_callee_stmts stats
+    (prog : Prog.t) (caller : Func.t) ~eligible : (int, site_verdict) Hashtbl.t
+    =
   let sites = ref [] in
   let record ~in_loop (s : Stmt.t) name args =
     if eligible name then
       match Prog.find_func prog name with
       | Some callee
-        when func_size callee <= opts.max_callee_stmts
+        when func_size callee <= max_callee_stmts
              && List.length args = List.length callee.Func.params ->
           sites := (s, callee, in_loop) :: !sites
       | Some _ | None -> ()
@@ -196,7 +173,7 @@ let plan_sites (opts : options) stats (prog : Prog.t) (caller : Func.t)
   walk ~in_loop:false caller.Func.body;
   let sites = List.rev !sites in
   let measure (s : Stmt.t) =
-    match opts.profile with
+    match decide.Decide.profile with
     | None -> None
     | Some profile -> (
         match Profile.Key.of_loc s.Stmt.loc with
@@ -207,7 +184,7 @@ let plan_sites (opts : options) stats (prog : Prog.t) (caller : Func.t)
   let blocking (callee : Func.t) ~in_loop =
     in_loop
     &&
-    match opts.pointsto with
+    match pointsto with
     | Some pt -> Pointsto.blocks_vectorization pt callee.Func.name
     | None -> false
   in
@@ -235,10 +212,10 @@ let plan_sites (opts : options) stats (prog : Prog.t) (caller : Func.t)
   (* the growth budget is a profile-guided policy; without measurements
      the §7 policy has no budget and selects every site *)
   let budget =
-    ref (if opts.profile = None then max_int else opts.max_total_growth)
+    ref (if decide.Decide.profile = None then max_int else max_total_growth)
   in
   let say fmt = Printf.ksprintf (fun m ->
-      match opts.report with Some r -> r m | None -> ()) fmt
+      match decide.Decide.report with Some r -> r m | None -> ()) fmt
   in
   List.iter
     (fun ((s : Stmt.t), callee, in_loop) ->
@@ -282,24 +259,25 @@ let plan_sites (opts : options) stats (prog : Prog.t) (caller : Func.t)
    expansion chain for the recursion cutoff.  A call that survives inside
    an expanded callee (because it was recursive or too large) is inlined
    as-is and never re-expanded — this is what bounds recursive inlining. *)
-let rec expand_in_function (opts : options) stats (prog : Prog.t)
-    (caller : Func.t) ~stack ~done_set =
+let rec expand_in_function (decide : Decide.t) ~eligible ~pointsto
+    ~max_callee_stmts stats (prog : Prog.t) (caller : Func.t) ~stack ~done_set
+    =
   if Hashtbl.mem done_set caller.Func.name then ()
   else begin
     Hashtbl.replace done_set caller.Func.name ();
-    let eligible name =
-      match opts.only with Some names -> List.mem name names | None -> true
-    in
     let plan =
-      match opts.profile, opts.pointsto with
+      match (decide.Decide.profile, pointsto) with
       | None, None -> None
-      | _ -> Some (plan_sites opts stats prog caller ~eligible)
+      | _ ->
+          Some
+            (plan_sites decide ~pointsto ~max_callee_stmts stats prog caller
+               ~eligible)
     in
-    let site_tuned (s : Stmt.t) =
-      match opts.site_tune with None -> None | Some f -> f s.Stmt.loc
+    let pinned (s : Stmt.t) =
+      Decide.override decide Decide.Inline s.Stmt.loc
     in
     let site_selected (s : Stmt.t) =
-      match site_tuned s with
+      match pinned s with
       | Some v -> v
       | None -> (
           match plan with
@@ -318,15 +296,15 @@ let rec expand_in_function (opts : options) stats (prog : Prog.t)
               stats.calls_skipped_unknown <- stats.calls_skipped_unknown + 1;
               [ s ]
           | Some callee ->
-              if List.mem name stack || List.length stack >= opts.max_depth
+              if List.mem name stack || List.length stack >= max_depth
               then begin
                 stats.calls_skipped_recursive <-
                   stats.calls_skipped_recursive + 1;
                 [ s ]
               end
               else if
-                site_tuned s <> Some true
-                && func_size callee > opts.max_callee_stmts
+                pinned s <> Some true
+                && func_size callee > max_callee_stmts
               then begin
                 stats.calls_skipped_size <- stats.calls_skipped_size + 1;
                 [ s ]
@@ -335,8 +313,9 @@ let rec expand_in_function (opts : options) stats (prog : Prog.t)
                 [ s ]  (* arity mismatch: leave the call alone *)
               else begin
                 (* make sure the callee itself is fully expanded first *)
-                expand_in_function opts stats prog callee
-                  ~stack:(name :: stack) ~done_set;
+                expand_in_function decide ~eligible ~pointsto
+                  ~max_callee_stmts stats prog callee ~stack:(name :: stack)
+                  ~done_set;
                 stats.calls_inlined <- stats.calls_inlined + 1;
                 expand_call prog caller callee dst args
               end)
@@ -346,10 +325,14 @@ let rec expand_in_function (opts : options) stats (prog : Prog.t)
   end
 
 (* Expand calls across the whole program, callees before callers. *)
-let expand ?(options = default_options) ?(stats = new_stats ())
-    (prog : Prog.t) =
+let expand ?only ?pointsto ?(max_callee_stmts = 200) ?(stats = new_stats ())
+    (decide : Decide.t) (prog : Prog.t) =
+  let eligible name =
+    match only with Some names -> List.mem name names | None -> true
+  in
   let done_set = Hashtbl.create 8 in
   List.iter
     (fun f ->
-      expand_in_function options stats prog f ~stack:[ f.Func.name ] ~done_set)
+      expand_in_function decide ~eligible ~pointsto ~max_callee_stmts stats
+        prog f ~stack:[ f.Func.name ] ~done_set)
     prog.Prog.funcs

@@ -7,31 +7,6 @@
 
 open Vpc_il
 
-type options = {
-  max_callee_stmts : int;      (** size threshold for automatic inlining *)
-  max_depth : int;             (** expansion-chain bound *)
-  only : string list option;   (** when set, inline only these callees *)
-  profile : Vpc_profile.Data.t option;
-      (** measured call counts and attributed cycles: sites are ranked
-          hottest-first, sites the run proved cold are kept as calls,
-          and growth stops at [max_total_growth].  Sites without data
-          follow the static policy, so an empty profile expands exactly
-          the static set. *)
-  pointsto : Vpc_pointsto.Pointsto.t option;
-      (** mod/ref summaries: an in-loop site whose callee summary blocks
-          vectorization of the enclosing loop (unknown effects, writes
-          through pointers, I/O) is the §7 motivation for inlining and is
-          ranked ahead of every other site. *)
-  max_total_growth : int;  (** per-caller budget, applies with a profile *)
-  report : (string -> unit) option;  (** decision explanations *)
-  site_tune : (Vpc_support.Loc.t -> bool option) option;
-      (** autotuned per-call-site override, keyed by the call's location:
-          [Some false] keeps the call, [Some true] inlines past the size
-          threshold and the profile plan (the recursion cutoff still
-          applies); [None] follows the static/profile policy *)
-}
-
-val default_options : options
 
 type stats = {
   mutable calls_inlined : int;
@@ -46,10 +21,27 @@ type stats = {
 
 val new_stats : unit -> stats
 
-(** Expand one call site (the callee should already be fully expanded). *)
-val expand_call :
-  Prog.t -> Func.t -> Func.t -> Stmt.lvalue option -> Expr.t list ->
-  Stmt.t list
+(** Expand calls across the whole program, callees before callers.
 
-(** Expand calls across the whole program, callees before callers. *)
-val expand : ?options:options -> ?stats:stats -> Prog.t -> unit
+    [only]: when set, inline only these callees.  [max_callee_stmts]
+    (default 200) is the size threshold for automatic inlining.
+
+    With the context's profile, sites are ranked hottest-first by
+    measured call counts and attributed cycles, sites the run proved
+    cold are kept as calls, and growth stops at a per-caller budget;
+    sites without data follow the static policy, so an empty profile
+    expands exactly the static set.  With [pointsto] mod/ref summaries,
+    an in-loop site whose callee summary blocks vectorization of the
+    enclosing loop (unknown effects, writes through pointers, I/O) is the
+    §7 motivation for inlining and is ranked ahead of every other site.
+    A tuned [Inline] override at a call site pins its verdict: [false]
+    keeps the call, [true] inlines past the size threshold and the
+    profile plan (the recursion cutoff still applies). *)
+val expand :
+  ?only:string list ->
+  ?pointsto:Vpc_pointsto.Pointsto.t ->
+  ?max_callee_stmts:int ->
+  ?stats:stats ->
+  Vpc_tune.Decide.t ->
+  Prog.t ->
+  unit

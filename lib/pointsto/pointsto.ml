@@ -884,19 +884,6 @@ let obj_name t = function
       | Some var -> var.Var.name
       | None -> Printf.sprintf "<var %d>" v)
 
-let pp_objects t ppf (e : Expr.t) =
-  let pairs = objects_of t e in
-  if pairs = [] then Format.fprintf ppf "{}"
-  else
-    Format.fprintf ppf "{%a}"
-      (Format.pp_print_list
-         ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ")
-         (fun ppf (o, f) ->
-           match f with
-           | Known k -> Format.fprintf ppf "%s+%d" (obj_name t o) k
-           | Any -> Format.fprintf ppf "%s+?" (obj_name t o)))
-      pairs
-
 let pp_summary t ppf name =
   match summary t name with
   | None -> Format.fprintf ppf "<no summary>"

@@ -60,5 +60,4 @@ val summary : t -> string -> summary option
 val blocks_vectorization : t -> string -> bool
 
 val obj_name : t -> obj -> string
-val pp_objects : t -> Format.formatter -> Expr.t -> unit
 val pp_summary : t -> Format.formatter -> string -> unit

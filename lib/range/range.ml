@@ -776,9 +776,7 @@ type fenv = {
   evos : (int, Evo.t) Hashtbl.t;
 }
 
-let entry_env fe = fe.entry
 let env_before fe id = Hashtbl.find_opt fe.before id
-let evolution fe id = Hashtbl.find_opt fe.evos id
 
 type fctx = {
   fe : fenv;

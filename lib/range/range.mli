@@ -26,7 +26,6 @@ module Interval : sig
   (** [None] endpoints are unbounded.  The empty interval is
       represented canonically by {!bot}. *)
 
-  val top : t
   val bot : t
   val point : int -> t
   val of_bounds : int option -> int option -> t
@@ -53,7 +52,6 @@ module Interval : sig
       [None] when the intervals overlap ambiguously. *)
   val truth : Vpc_il.Expr.binop -> t -> t -> bool option
 
-  val pp : Format.formatter -> t -> unit
   val to_string : t -> string
 end
 
@@ -69,7 +67,6 @@ module Affine : sig
   val sym : sym -> t
   val add : t -> t -> t
   val sub : t -> t -> t
-  val neg : t -> t
   val scale : int -> t -> t
   val to_const : t -> int option
   val equal : t -> t -> bool
@@ -81,14 +78,10 @@ module Affine : sig
   (** Every coefficient and the constant are multiples of the divisor,
       hence so is the value, whatever the symbols are. *)
 
-  val pp : Format.formatter -> t -> unit
   val to_string : t -> string
 end
 
 type value = { itv : Interval.t; aff : Affine.t option }
-
-val top_value : value
-val value_of_interval : Interval.t -> value
 
 (** Scalar evolution of a DO-loop index: [base + k*step] at iteration
     [k].  [advance] gives the affine value after [k] steps; [compose]
@@ -119,13 +112,9 @@ val analyze_func : t -> Vpc_il.Prog.t -> Vpc_il.Func.t -> fenv
     Optimization passes renumber statements, so facts are computed on
     demand rather than cached across passes. *)
 
-val entry_env : fenv -> env
 val env_before : fenv -> int -> env option
 (** Environment on entry to the statement with the given id, from the
     final (post-fixpoint) pass. *)
-
-val evolution : fenv -> int -> Evo.t option
-(** Evolution of the index of the DO loop with the given statement id. *)
 
 val eval : env -> Vpc_il.Expr.t -> value
 val interval_of_expr : env -> Vpc_il.Expr.t -> Interval.t

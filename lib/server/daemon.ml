@@ -20,6 +20,11 @@ let handle_conn cache (config : config) fd : [ `Continue | `Stop ] =
   let ic = Unix.in_channel_of_descr fd in
   let reply msg = Protocol.write_frame oc (Sexp.to_string (Protocol.server_to_sexp msg)) in
   match Protocol.client_of_sexp (Sexp.of_string (Protocol.read_frame ic)) with
+  | exception Sexp.Parse_error m ->
+      (* a malformed request (unknown flag, vlen below 1) is refused,
+         and the daemon serves on *)
+      reply (Protocol.Error ("parse error: " ^ m));
+      `Continue
   | Protocol.Stats ->
       reply (Protocol.Stats_reply (Cache.stats cache));
       `Continue

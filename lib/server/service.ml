@@ -84,12 +84,14 @@ let copts_of_sexp s =
     ->
       let disabled = List.sort_uniq compare (List.map as_atom off) in
       List.iter (fun n -> ignore (flag_switch n)) disabled;
+      let vlen = as_int vlen in
+      if vlen < 1 then raise (Parse_error "copts: vlen below 1");
       {
         opt_level = as_int lvl;
         inline_only = List.map as_atom only;
         disabled;
         assume_noalias = as_bool na;
-        vlen = as_int vlen;
+        vlen;
         catalogs = List.map as_atom cats;
         profile_use = path "profile" prof;
         tune_use = path "tune store" tune;

@@ -25,8 +25,6 @@ val diff_into : t -> t -> unit
     transfer function. *)
 val transfer : gen:t -> kill:t -> t -> unit
 
-val iter : (int -> unit) -> t -> unit
-val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
 val elements : t -> int list
 val cardinal : t -> int
 val is_empty : t -> bool

@@ -23,5 +23,4 @@ val warnings : unit -> t list
 
 val reset_warnings : unit -> unit
 val warn : ?loc:Loc.t -> ('a, Format.formatter, unit, unit) format4 -> 'a
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

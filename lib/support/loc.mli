@@ -8,7 +8,6 @@ type t = { file : string; start_pos : pos; end_pos : pos }
 (** Location of compiler-generated constructs. *)
 val dummy : t
 
-val dummy_pos : pos
 val make : file:string -> start_pos:pos -> end_pos:pos -> t
 val is_dummy : t -> bool
 

@@ -146,16 +146,6 @@ let of_string s =
   | Some _ -> raise (Parse_error "trailing garbage"));
   t
 
-let of_string_many s =
-  let st = { input = s; pos = 0 } in
-  let rec go acc =
-    skip_ws st;
-    match peek_char st with
-    | None -> List.rev acc
-    | Some _ -> go (parse_one st :: acc)
-  in
-  go []
-
 (* Accessors used by decoders. *)
 
 let as_atom = function

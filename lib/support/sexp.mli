@@ -25,9 +25,6 @@ val to_string : t -> string
 (** Parse exactly one sexp; trailing garbage is an error. *)
 val of_string : string -> t
 
-(** Parse a sequence of sexps. *)
-val of_string_many : string -> t list
-
 (** {1 Decoding helpers} — raise {!Parse_error} on shape mismatch. *)
 
 val as_atom : t -> string

@@ -16,10 +16,6 @@ val time : t -> string -> (unit -> 'a) -> 'a
 val phases : t -> (string * float) list
 (** Buckets in first-use order. *)
 
-val total : t -> float
-
-val to_string : t -> string
-(** The [--timings] table: one [[timings] phase seconds percent] line
-    per bucket plus a total line. *)
-
 val report : t -> out_channel -> unit
+(** Print the [--timings] table: one [[timings] phase seconds percent]
+    line per bucket plus a total line. *)

@@ -9,24 +9,16 @@ open Vpc_il
 
 exception Codegen_error of string
 
-(** [gen_func prog ~global_addr f]: compile one function; [global_addr]
-    resolves a global variable id to its absolute address (from
-    {!Machine.layout_globals}).  With [instrument], loops and call sites
-    that carry a source position are bracketed with zero-cost profiling
-    markers ({!Isa.inst.Prof}) for the profile collector.  With [vreuse],
-    a redundant-Vload cleanup pass runs over the generated code: a vector
-    load recomputing a value already live in a register (same base,
-    stride, length and type within a straight-line segment, no
-    intervening store) is replaced by a {!Isa.inst.Vsaved} marker and its
-    uses are redirected to the earlier register. *)
-val gen_func :
-  ?instrument:bool ->
-  ?vreuse:bool ->
-  Prog.t ->
-  global_addr:(int -> int) ->
-  Func.t ->
-  Isa.func
-
+(** Compile every function; [global_addr] resolves a global variable id
+    to its absolute address (from {!Machine.layout_globals}).  With
+    [instrument], loops and call sites that carry a source position are
+    bracketed with zero-cost profiling markers ({!Isa.inst.Prof}) for the
+    profile collector.  With [vreuse], a redundant-Vload cleanup pass
+    runs over the generated code: a vector load recomputing a value
+    already live in a register (same base, stride, length and type
+    within a straight-line segment, no intervening store) is replaced by
+    a {!Isa.inst.Vsaved} marker and its uses are redirected to the
+    earlier register. *)
 val gen_program :
   ?instrument:bool ->
   ?vreuse:bool ->

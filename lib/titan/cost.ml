@@ -22,7 +22,6 @@ let fcvt = { unit_ = FPU; issue = 1; latency = 4 }
 let load = { unit_ = MEM; issue = 1; latency = 6 }
 let store = { unit_ = MEM; issue = 1; latency = 1 }
 let branch = { unit_ = CTRL; issue = 1; latency = 2 }
-let jump = { unit_ = CTRL; issue = 1; latency = 1 }
 
 (* vector operations: startup + one element per cycle *)
 let vector_startup_mem = 14

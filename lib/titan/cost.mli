@@ -19,7 +19,6 @@ val fcvt : op_cost
 val load : op_cost
 val store : op_cost
 val branch : op_cost
-val jump : op_cost
 
 (** Vector operations cost startup + one element per cycle. *)
 val vector_startup_mem : int
@@ -57,10 +56,6 @@ val shape_of_stmts : Vpc_il.Stmt.t list -> shape
 
 val add_shape : shape -> shape -> shape
 
-(** Steady-state cycles of one serial scalar iteration (index increment
-    and loop branch included). *)
-val scalar_iter_cycles : sched:sched -> shape -> int
-
 val scalar_loop_cycles : sched:sched -> shape -> trips:int -> int
 
 (** A do-parallel loop with a serial body: round-robin buckets plus the
@@ -68,17 +63,10 @@ val scalar_loop_cycles : sched:sched -> shape -> trips:int -> int
 val parallel_scalar_cycles :
   sched:sched -> shape -> trips:int -> procs:int -> int
 
-(** One vector strip of [len] elements (startup + element chain). *)
-val vector_strip_cycles : shape -> len:int -> int
-
 (** A whole vectorized loop: short vector when [trips <= vlen],
     otherwise strip-mined, optionally spread over processors. *)
 val vector_loop_cycles :
   shape -> trips:int -> vlen:int -> procs:int -> parallel:bool -> int
-
-(** Cheaper of serial-strip and parallel-strip vector code. *)
-val best_vector_cycles :
-  shape -> trips:int -> vlen:int -> procs:int -> parallelize:bool -> int
 
 (** Smallest trip count at which vector code beats scalar code, [None]
     if it never does within a generous horizon. *)
@@ -113,12 +101,6 @@ val wait_cycles : int
     carried distance in iterations. *)
 type dedge = { post_offset : int; wait_offset : int; ddist : int }
 
-(** Minimum spacing between successive iteration starts: the max over
-    the edges' distance-normalized stage latencies
-    [(post_offset - wait_offset + sync cost) / ddist] and the
-    round-robin processor bound [iter_cycles / procs]. *)
-val doacross_iter_delay : iter_cycles:int -> procs:int -> dedge list -> int
-
 (** Whole doacross loop: pipeline fill + one delay per remaining
     iteration + the closing barrier; each iteration also pays its
     post/wait instructions. *)
@@ -129,15 +111,6 @@ val doacross_loop_cycles :
 
 (** Trip count assumed when neither bounds nor a profile reveal one. *)
 val default_trip : int
-
-(** Control overhead of entering a counted loop once — paid per
-    enclosing iteration inside a nest. *)
-val loop_overhead_cycles : int
-
-(** Tie-break penalty per memory reference with a byte stride wider
-    than one element: favors stride-1 innermost access between
-    otherwise equal loop orders. *)
-val strided_mem_penalty : bytes:int -> int
 
 (** Whole-nest cycles under one loop order: the innermost loop (vector
     when [vectorizable], else scalar) runs once per combination of

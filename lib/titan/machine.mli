@@ -35,9 +35,6 @@ val default_config : config
 
 type value = Vi of int | Vf of float
 
-val as_int : value -> int
-val as_float : value -> float
-
 type layout = {
   addr_of : (int, int) Hashtbl.t;  (** global var id → address *)
   globals_top : int;
@@ -67,8 +64,6 @@ type metrics = {
   mutable busy_mem : int;  (** memory-port occupancy, cycles *)
 }
 
-val mflops : metrics -> clock_mhz:float -> float
-
 type run_result = {
   return_value : value;
   stdout_text : string;
@@ -84,7 +79,7 @@ val sched_name : sched_mode -> string
     With [collect], codegen is instrumented with profiling markers and
     the run feeds the collector; markers cost zero cycles, so the
     metrics are those of the uninstrumented program.  With [vreuse],
-    codegen runs its redundant-Vload cleanup (see {!Codegen.gen_func}). *)
+    codegen runs its redundant-Vload cleanup (see {!Codegen.gen_program}). *)
 val run :
   ?config:config ->
   ?entry:string ->

@@ -31,7 +31,7 @@
 open Vpc_il
 open Vpc_dependence
 module Cost = Vpc_titan.Cost
-module Profile = Vpc_profile
+module Decide = Vpc_tune.Decide
 
 type stats = {
   (* §10 while-loop doacross *)
@@ -63,40 +63,8 @@ let new_stats () =
     do_rejected_cost = 0;
   }
 
-type options = {
-  pragma : bool;  (* enable the §10 while-loop path *)
-  sync : bool;    (* enable the DO-loop post/wait path *)
-  procs : int;  (* static processor assumption for the pipeline model *)
-  sched : Cost.sched;
-  assume_noalias : bool;
-  profile : Profile.Data.t option;
-      (* measured trips/procs/sched override the static assumptions *)
-  report : (string -> unit) option;   (* one line per pipelined loop *)
-  why_scalar : (string -> unit) option;
-      (* one line per candidate left serial: the unsynchronizable edge
-         or the cost-model loss *)
-  range : (Stmt.t -> Expr.t -> int option * int option) option;
-      (* symbolic range oracle: bounds symbolic byte distances and trip
-         counts for the dependence tests *)
-  tune : (Vpc_support.Loc.t -> bool option) option;
-      (* autotuned per-loop gate: [Some false] keeps the loop serial,
-         [Some true] pipelines a synchronizable loop even when the
-         pipeline model prefers serial; [None] follows the model *)
-}
-
-let default_options =
-  {
-    pragma = true;
-    sync = false;
-    procs = 4;
-    sched = Cost.Full;
-    assume_noalias = false;
-    profile = None;
-    report = None;
-    why_scalar = None;
-    range = None;
-    tune = None;
-  }
+(* The pipeline model's machine when no profile measured the loop. *)
+let static_machine = (Cost.Full, 4)
 
 (* ------------------------------------------------------------------ *)
 (* §10 while-loop path                                                *)
@@ -442,18 +410,16 @@ let kind_name = function
   | Graph.Anti -> "anti"
   | Graph.Output -> "output"
 
-let process_do (opts : options) stats prog (func : Func.t)
+let process_do (decide : Decide.t) ?range stats prog (func : Func.t)
     (live : Vpc_analysis.Liveness.t Lazy.t) (s : Stmt.t) (d : Stmt.do_loop) :
     Stmt.t option =
   let body = d.Stmt.body in
   let n = List.length body in
-  let tuned =
-    match opts.tune with None -> None | Some f -> f s.Stmt.loc
-  in
+  let tuned = Decide.override decide Decide.Doacross s.Stmt.loc in
   let why fmt =
     Format.kasprintf
       (fun msg ->
-        match opts.why_scalar with
+        match decide.Decide.why_scalar with
         | Some say ->
             say
               (Printf.sprintf "%s: loop at %s stays serial: %s" func.Func.name
@@ -516,10 +482,10 @@ let process_do (opts : options) stats prog (func : Func.t)
       in
       let trip_const = Expr.const_int_val trip_expr in
       let graph =
-        match opts.range with
+        match range with
         | None ->
-            Graph.build ~assume_noalias:opts.assume_noalias ~trip:trip_const
-              body ~index:d.Stmt.index ~invariant
+            Graph.build ~assume_noalias:decide.Decide.assume_noalias
+              ~trip:trip_const body ~index:d.Stmt.index ~invariant
         | Some itv ->
             (* a symbolic trip's upper bound is a sound stand-in: a larger
                trip only widens what the tests must exclude *)
@@ -532,7 +498,7 @@ let process_do (opts : options) stats prog (func : Func.t)
               { Test.interval = (fun e -> itv s e); Test.note = (fun _ _ -> ()) }
             in
             Test.with_oracle oracle (fun () ->
-                Graph.build ~assume_noalias:opts.assume_noalias
+                Graph.build ~assume_noalias:decide.Decide.assume_noalias
                   ~trip:trip_bound body ~index:d.Stmt.index ~invariant)
       in
       if not graph.Graph.analyzable then begin
@@ -643,29 +609,15 @@ let process_do (opts : options) stats prog (func : Func.t)
                     })
                   syncs
               in
-              let static () =
-                ( (match trip_const with
-                  | Some t when t > 0 -> t
-                  | _ -> Cost.default_trip),
-                  opts.procs,
-                  opts.sched )
-              in
-              let trips, procs, sched =
-                match opts.profile with
-                | None -> static ()
-                | Some data -> (
-                    match Profile.Key.of_loc s.Stmt.loc with
-                    | None -> static ()
-                    | Some key -> (
-                        match Profile.Data.find_loop data key with
-                        | None -> static ()
-                        | Some lp -> (
-                            match Profile.Data.mean_trips lp with
-                            | Some t when t > 0 ->
-                                ( t,
-                                  data.Profile.Data.procs,
-                                  Cost.sched_of_name data.Profile.Data.sched )
-                            | _ -> static ())))
+              let trips, (sched, procs) =
+                match Decide.trips decide s.Stmt.loc with
+                | Some t when t > 0 ->
+                    (t, Decide.machine decide ~static:static_machine)
+                | _ ->
+                    ( (match trip_const with
+                      | Some t when t > 0 -> t
+                      | _ -> Cost.default_trip),
+                      static_machine )
               in
               let serial = Cost.scalar_loop_cycles ~sched shape ~trips in
               let pipelined =
@@ -684,7 +636,7 @@ let process_do (opts : options) stats prog (func : Func.t)
                 stats.syncs_placed <- stats.syncs_placed + List.length syncs;
                 stats.syncs_eliminated <-
                   stats.syncs_eliminated + eliminated;
-                (match opts.report with
+                (match decide.Decide.report with
                 | Some report ->
                     report
                       (Printf.sprintf
@@ -708,7 +660,7 @@ let process_do (opts : options) stats prog (func : Func.t)
 (* Apply the while path to pragma-marked loops the earlier phases could
    not turn into DO loops, and the post/wait path to serial counted
    loops whose carried dependences have constant distance. *)
-let run ?(stats = new_stats ()) ?(options = default_options) (prog : Prog.t)
+let run ?(stats = new_stats ()) ?range (decide : Decide.t) (prog : Prog.t)
     (func : Func.t) =
   let changed = ref false in
   let live = lazy (Vpc_analysis.Liveness.build func) in
@@ -716,7 +668,8 @@ let run ?(stats = new_stats ()) ?(options = default_options) (prog : Prog.t)
   and walk_stmt (s : Stmt.t) =
     match s.Stmt.desc with
     | Stmt.While (li, cond, body)
-      when options.pragma && li.Stmt.pragma_independent && not li.Stmt.doacross
+      when Decide.on decide `Doacross && li.Stmt.pragma_independent
+           && not li.Stmt.doacross
       -> (
         match process_loop prog func stats s li cond (walk body) with
         | Some s' ->
@@ -730,11 +683,12 @@ let run ?(stats = new_stats ()) ?(options = default_options) (prog : Prog.t)
         let d = { d with Stmt.body = walk d.Stmt.body } in
         let s = { s with desc = Stmt.Do_loop d } in
         if
-          options.sync && (not d.Stmt.parallel) && d.Stmt.sync = []
+          Decide.on decide `Doacross_sync
+          && (not d.Stmt.parallel) && d.Stmt.sync = []
           && is_normalized d
           && not (contains_inner_loop d.Stmt.body)
         then
-          match process_do options stats prog func live s d with
+          match process_do decide ?range stats prog func live s d with
           | Some s' ->
               changed := true;
               s'

@@ -37,29 +37,6 @@ type stats = {
 
 val new_stats : unit -> stats
 
-type options = {
-  pragma : bool;  (** enable the §10 while-loop path *)
-  sync : bool;  (** enable the DO-loop post/wait path *)
-  procs : int;  (** static processor assumption for the pipeline model *)
-  sched : Vpc_titan.Cost.sched;
-  assume_noalias : bool;
-  profile : Vpc_profile.Data.t option;
-      (** measured trips/procs/sched override the static assumptions *)
-  report : (string -> unit) option;  (** one line per pipelined loop *)
-  why_scalar : (string -> unit) option;
-      (** one line per candidate left serial: the unsynchronizable edge
-          or the cost-model loss *)
-  range : (Stmt.t -> Expr.t -> int option * int option) option;
-      (** symbolic range oracle for dependence tests *)
-  tune : (Vpc_support.Loc.t -> bool option) option;
-      (** autotuned per-loop gate: [Some false] keeps the loop serial,
-          [Some true] pipelines a synchronizable loop even when the
-          pipeline model prefers serial; [None] follows the model *)
-}
-
-(** While path on, post/wait path off; 4 processors, [Full]
-    scheduling. *)
-val default_options : options
 
 (** Does a chain of sync edges transitively order the carried edge
     (src, dst, dist)?  For an exact edge ([cum = false]) distances along
@@ -72,4 +49,18 @@ val default_options : options
 val covers :
   Stmt.dsync list -> src:int -> dst:int -> dist:int -> cum:bool -> bool
 
-val run : ?stats:stats -> ?options:options -> Prog.t -> Func.t -> bool
+(** Run the §10 while path while [`Doacross] is on and the post/wait
+    path while [`Doacross_sync] is on; [true] if any loop changed.
+    [range] bounds symbolic byte distances and trip counts for the
+    dependence tests.  The pipeline model prices for the profile's
+    machine at loops it measured, else four processors under [Full]
+    scheduling.  A tuned [Doacross] override at the loop's header pins
+    the verdict: [false] keeps it serial, [true] pipelines a
+    synchronizable loop even when the model prefers serial. *)
+val run :
+  ?stats:stats ->
+  ?range:(Stmt.t -> Expr.t -> int option * int option) ->
+  Vpc_tune.Decide.t ->
+  Prog.t ->
+  Func.t ->
+  bool

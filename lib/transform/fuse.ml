@@ -23,29 +23,7 @@
 open Vpc_il
 open Vpc_dependence
 module Cost = Vpc_titan.Cost
-module Profile = Vpc_profile
-
-type options = {
-  assume_noalias : bool;
-  parallelize : bool;
-  vlen : int;
-  profile : Profile.Data.t option;
-  report : (string -> unit) option;
-  tune : (Vpc_support.Loc.t -> bool option) option;
-      (* autotuned per-nest gate, keyed by either loop's head location:
-         [Some false] keeps the pair separate, [Some true] fuses a legal
-         pair even when the cost model prefers them apart *)
-}
-
-let default_options =
-  {
-    assume_noalias = false;
-    parallelize = true;
-    vlen = 32;
-    profile = None;
-    report = None;
-    tune = None;
-  }
+module Decide = Vpc_tune.Decide
 
 type stats = {
   mutable pairs_examined : int;        (* adjacent analyzable pairs *)
@@ -246,16 +224,13 @@ let rec chain (levels : Nest.level list) (body : Stmt.t list) : Stmt.t =
             { l.Nest.header with Stmt.body = next.Nest.prefix @ [ inner ] };
       }
 
-let fused_cost_report (opts : options) ~shape1 ~shape2 ~trips ~v1 ~v2 ~vf =
-  let sched, procs =
-    match opts.profile with
-    | Some data ->
-        (Cost.sched_of_name data.Profile.Data.sched, data.Profile.Data.procs)
-    | None -> (Cost.Full, 1)
-  in
+let fused_cost_report (decide : Decide.t) ~shape1 ~shape2 ~trips ~v1 ~v2 ~vf
+    =
+  let sched, procs = Decide.machine decide ~static:(Cost.Full, 1) in
   let cost shape ~vectorizable =
-    Cost.nest_order_cycles ~sched shape ~trips ~vlen:opts.vlen ~procs
-      ~parallelize:opts.parallelize ~vectorizable ~inner_strides:[]
+    Cost.nest_order_cycles ~sched shape ~trips ~vlen:decide.Decide.vlen ~procs
+      ~parallelize:(Decide.on decide `Parallelize)
+      ~vectorizable ~inner_strides:[]
   in
   let c1 = cost shape1 ~vectorizable:v1 in
   let c2 = cost shape2 ~vectorizable:v2 in
@@ -264,31 +239,22 @@ let fused_cost_report (opts : options) ~shape1 ~shape2 ~trips ~v1 ~v2 ~vf =
 
 (* ---- the pass ---- *)
 
-let run ?(options = default_options) ?(stats = new_stats ())
-    (prog : Prog.t) (func : Func.t) : bool =
+let run ?(stats = new_stats ()) (decide : Decide.t) (prog : Prog.t)
+    (func : Func.t) : bool =
   let changed = ref false in
   let def_info = scalar_def_info func in
   let analyze s =
-    Nest.analyze ~assume_noalias:options.assume_noalias ~min_depth:1 ~prog
-      ~func s
+    Nest.analyze ~assume_noalias:decide.Decide.assume_noalias ~min_depth:1
+      ~prog ~func s
   in
   (* measured trip for the cost model when a bound is unknown *)
   let trip_of (l : Nest.level) =
     match l.Nest.trip with
     | Some t -> t
     | None -> (
-        let measured =
-          match options.profile with
-          | None -> None
-          | Some data -> (
-              match Profile.Key.of_loc l.Nest.loop_stmt.Stmt.loc with
-              | None -> None
-              | Some key ->
-                  Option.bind
-                    (Profile.Data.find_loop data key)
-                    Profile.Data.mean_trips)
-        in
-        match measured with Some t when t > 0 -> t | _ -> Cost.default_trip)
+        match Decide.trips decide l.Nest.loop_stmt.Stmt.loc with
+        | Some t when t > 0 -> t
+        | _ -> Cost.default_trip)
   in
   (* try to fuse loop [s1] with the next loop further down [rest];
      returns the replacement for s1 :: rest on success *)
@@ -322,10 +288,10 @@ let run ?(options = default_options) ?(stats = new_stats ())
                   in
                   if
                     fusion_preventing
-                      ~assume_noalias:options.assume_noalias n1 n2 ~trips
+                      ~assume_noalias:decide.Decide.assume_noalias n1 n2 ~trips
                   then begin
                     stats.rejected_dependence <- stats.rejected_dependence + 1;
-                    (match options.report with
+                    (match decide.Decide.report with
                     | Some report ->
                         report
                           (Printf.sprintf
@@ -346,24 +312,22 @@ let run ?(options = default_options) ?(stats = new_stats ())
                       v1 && v2
                       && not
                            (cross_inner_carried
-                              ~assume_noalias:options.assume_noalias n1 n2
+                              ~assume_noalias:decide.Decide.assume_noalias n1 n2
                               ~trips)
                     in
                     let cost_trips =
                       Array.of_list (List.map trip_of n1.Nest.levels)
                     in
                     let c1, c2, cf =
-                      fused_cost_report options ~shape1 ~shape2
+                      fused_cost_report decide ~shape1 ~shape2
                         ~trips:cost_trips ~v1 ~v2 ~vf
                     in
                     let tuned =
-                      match options.tune with
-                      | None -> None
-                      | Some f -> (
-                          match (f s1.Stmt.loc, f s2.Stmt.loc) with
-                          | Some false, _ | _, Some false -> Some false
-                          | Some true, _ | _, Some true -> Some true
-                          | None, None -> None)
+                      let f = Decide.override decide Decide.Fuse in
+                      match (f s1.Stmt.loc, f s2.Stmt.loc) with
+                      | Some false, _ | _, Some false -> Some false
+                      | Some true, _ | _, Some true -> Some true
+                      | None, None -> None
                     in
                     let keep_separate =
                       match tuned with
@@ -373,7 +337,7 @@ let run ?(options = default_options) ?(stats = new_stats ())
                     in
                     if keep_separate then begin
                       stats.rejected_cost <- stats.rejected_cost + 1;
-                      (match options.report with
+                      (match decide.Decide.report with
                       | Some report ->
                           report
                             (Printf.sprintf
@@ -384,7 +348,7 @@ let run ?(options = default_options) ?(stats = new_stats ())
                       None
                     end
                     else begin
-                      (match options.report with
+                      (match decide.Decide.report with
                       | Some report ->
                           report
                             (Printf.sprintf

@@ -6,21 +6,6 @@
 
 open Vpc_il
 
-type options = {
-  assume_noalias : bool;
-  parallelize : bool;
-  vlen : int;
-  profile : Vpc_profile.Data.t option;
-  report : (string -> unit) option;
-  tune : (Vpc_support.Loc.t -> bool option) option;
-      (** autotuned per-nest gate, keyed by either loop's head location:
-          [Some false] keeps the pair separate, [Some true] fuses a
-          legal pair even when the cost model prefers them apart;
-          [None] follows the static policy *)
-}
-
-val default_options : options
-
 type stats = {
   mutable pairs_examined : int;
   mutable loops_fused : int;
@@ -30,4 +15,9 @@ type stats = {
 }
 
 val new_stats : unit -> stats
-val run : ?options:options -> ?stats:stats -> Prog.t -> Func.t -> bool
+
+(** Fuse adjacent loops in place; [true] if any pair fused.  A tuned
+    [Fuse] override at either loop's header pins the verdict: [false]
+    keeps the pair separate, [true] fuses a legal pair even when the cost
+    model prefers them apart. *)
+val run : ?stats:stats -> Vpc_tune.Decide.t -> Prog.t -> Func.t -> bool

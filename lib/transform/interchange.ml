@@ -20,30 +20,7 @@
 open Vpc_il
 open Vpc_dependence
 module Cost = Vpc_titan.Cost
-module Profile = Vpc_profile
-
-type options = {
-  assume_noalias : bool;
-  parallelize : bool;          (* cost model may assume parallel strips *)
-  vlen : int;
-  profile : Profile.Data.t option;
-  report : (string -> unit) option;
-  tune : (Vpc_support.Loc.t -> bool option) option;
-      (* autotuned per-nest gate, keyed by the outer loop's location:
-         [Some false] keeps the source order regardless of the cost
-         model, [Some true] takes the cheapest legal reorder even on a
-         cost tie; [None] follows the static policy *)
-}
-
-let default_options =
-  {
-    assume_noalias = false;
-    parallelize = true;
-    vlen = 32;
-    profile = None;
-    report = None;
-    tune = None;
-  }
+module Decide = Vpc_tune.Decide
 
 type stats = {
   mutable nests_examined : int;        (* analyzable nests found *)
@@ -74,25 +51,14 @@ let permutations n =
 
 (* Trip count per level: constant bound, else measured profile, else the
    model's default. *)
-let level_trips (opts : options) (levels : Nest.level list) :
+let level_trips (decide : Decide.t) (levels : Nest.level list) :
     int array * bool =
   let used_pgo = ref false in
   let trip_of (l : Nest.level) =
     match l.Nest.trip with
     | Some t -> t
     | None -> (
-        let measured =
-          match opts.profile with
-          | None -> None
-          | Some data -> (
-              match Profile.Key.of_loc l.Nest.loop_stmt.Stmt.loc with
-              | None -> None
-              | Some key ->
-                  Option.bind
-                    (Profile.Data.find_loop data key)
-                    Profile.Data.mean_trips)
-        in
-        match measured with
+        match Decide.trips decide l.Nest.loop_stmt.Stmt.loc with
         | Some t when t > 0 ->
             used_pgo := true;
             t
@@ -101,7 +67,7 @@ let level_trips (opts : options) (levels : Nest.level list) :
   (Array.of_list (List.map trip_of levels), !used_pgo)
 
 (* Estimated whole-nest cycles under one loop order. *)
-let order_cost (opts : options) (nest : Nest.t) ~shape ~(trips : int array)
+let order_cost (decide : Decide.t) (nest : Nest.t) ~shape ~(trips : int array)
     (perm : int array) =
   let d = Array.length perm in
   let ptrips = Array.init d (fun k -> trips.(perm.(k))) in
@@ -112,15 +78,11 @@ let order_cost (opts : options) (nest : Nest.t) ~shape ~(trips : int array)
       (fun (_, (m : Subscript.multi_affine)) -> m.Subscript.mcoeffs.(inner))
       nest.Nest.refs
   in
-  let sched, procs =
-    match opts.profile with
-    | Some data ->
-        (Cost.sched_of_name data.Profile.Data.sched, data.Profile.Data.procs)
-    | None -> (Cost.Full, 1)
-  in
+  let sched, procs = Decide.machine decide ~static:(Cost.Full, 1) in
   Cost.nest_order_cycles ~sched
-    ~pgo_gates:(Option.is_some opts.profile)
-    shape ~trips:ptrips ~vlen:opts.vlen ~procs ~parallelize:opts.parallelize
+    ~pgo_gates:(Option.is_some decide.Decide.profile)
+    shape ~trips:ptrips ~vlen:decide.Decide.vlen ~procs
+    ~parallelize:(Decide.on decide `Parallelize)
     ~vectorizable ~inner_strides
 
 (* Rebuild the nest in the chosen order: hoistable prefixes (the limit
@@ -152,19 +114,19 @@ let order_name prog (func : Func.t) (nest : Nest.t) (perm : int array) =
          | None -> string_of_int id)
        (Array.to_list perm))
 
-let run ?(options = default_options) ?(stats = new_stats ())
-    (prog : Prog.t) (func : Func.t) : bool =
+let run ?(stats = new_stats ()) (decide : Decide.t) (prog : Prog.t)
+    (func : Func.t) : bool =
   let changed = ref false in
   let try_nest (s : Stmt.t) : Stmt.t list option =
     match
-      Nest.analyze ~assume_noalias:options.assume_noalias ~prog ~func s
+      Nest.analyze ~assume_noalias:decide.Decide.assume_noalias ~prog ~func s
     with
     | None -> None
     | Some nest ->
         stats.nests_examined <- stats.nests_examined + 1;
         let d = Nest.depth nest in
         let shape = Cost.shape_of_stmts nest.Nest.body in
-        let trips, used_pgo = level_trips options nest.Nest.levels in
+        let trips, used_pgo = level_trips decide nest.Nest.levels in
         if used_pgo then stats.pgo_trip_nests <- stats.pgo_trip_nests + 1;
         let legal, illegal =
           List.partition
@@ -175,7 +137,7 @@ let run ?(options = default_options) ?(stats = new_stats ())
           stats.orders_rejected_legality + List.length illegal;
         (* normalized edges make the identity order always legal *)
         let scored =
-          List.map (fun p -> (order_cost options nest ~shape ~trips p, p)) legal
+          List.map (fun p -> (order_cost decide nest ~shape ~trips p, p)) legal
         in
         let id_cost, id_perm =
           match scored with c :: _ -> c | [] -> assert false
@@ -185,16 +147,13 @@ let run ?(options = default_options) ?(stats = new_stats ())
             (fun (bc, bp) (c, p) -> if c < bc then (c, p) else (bc, bp))
             (id_cost, id_perm) scored
         in
-        let tuned =
-          match options.tune with None -> None | Some f -> f s.Stmt.loc
-        in
         let interchange =
-          match tuned with
+          match Decide.override decide Decide.Interchange s.Stmt.loc with
           | Some false -> false
           | Some true -> best <> id_perm && best_cost <= id_cost
           | None -> best <> id_perm && best_cost < id_cost
         in
-        (match options.report with
+        (match decide.Decide.report with
         | Some report ->
             report
               (Printf.sprintf

@@ -7,21 +7,6 @@
 
 open Vpc_il
 
-type options = {
-  assume_noalias : bool;
-  parallelize : bool;  (** cost model may assume parallel strips *)
-  vlen : int;
-  profile : Vpc_profile.Data.t option;
-  report : (string -> unit) option;
-  tune : (Vpc_support.Loc.t -> bool option) option;
-      (** autotuned per-nest gate, keyed by the outer loop's location:
-          [Some false] keeps the source order regardless of the cost
-          model, [Some true] takes the cheapest legal reorder even on a
-          cost tie; [None] follows the static policy *)
-}
-
-val default_options : options
-
 type stats = {
   mutable nests_examined : int;
   mutable nests_interchanged : int;
@@ -30,4 +15,9 @@ type stats = {
 }
 
 val new_stats : unit -> stats
-val run : ?options:options -> ?stats:stats -> Prog.t -> Func.t -> bool
+
+(** Reorder every analyzable nest in place; [true] if any changed.  A
+    tuned [Interchange] override at the outer loop's header pins the
+    verdict: [false] keeps the source order, [true] takes the cheapest
+    legal reorder even on a cost tie. *)
+val run : ?stats:stats -> Vpc_tune.Decide.t -> Prog.t -> Func.t -> bool

@@ -46,20 +46,7 @@
 open Vpc_il
 open Vpc_dependence
 module Cost = Vpc_titan.Cost
-module Profile = Vpc_profile
-
-type options = {
-  assume_noalias : bool;  (* pointer params get Fortran semantics *)
-  profile : Profile.Data.t option;  (* refines repetition counts *)
-  report : (string -> unit) option;  (* one line per decision *)
-  tune : (Vpc_support.Loc.t -> bool option) option;
-      (* autotuned per-loop gate: [Some false] leaves this DO loop's
-         vector statements untouched (no residency interchange, no
-         localization); [Some true]/[None] follow the static policy *)
-}
-
-let default_options =
-  { assume_noalias = false; profile = None; report = None; tune = None }
+module Decide = Vpc_tune.Decide
 
 type stats = {
   mutable strips_interchanged : int;  (* strip loop hoisted over a DO *)
@@ -312,7 +299,7 @@ type env = {
   func : Func.t;
   ctx : Builder.ctx;
   noalias : bool;
-  opts : options;
+  decide : Decide.t;
   stats : stats;
   mutable next_vt : int;
   mutable changed : bool;
@@ -326,7 +313,7 @@ let fresh_vt env =
 let report env fmt =
   Printf.ksprintf
     (fun msg ->
-      match env.opts.report with
+      match env.decide.Decide.report with
       | Some f -> f (Printf.sprintf "vreuse %s: %s" env.func.Func.name msg)
       | None -> ())
     fmt
@@ -345,16 +332,6 @@ let const_trip (d : Stmt.do_loop) =
   with
   | Some lo, Some hi, Some 1 -> Some (hi - lo + 1)
   | _ -> None
-
-(* Measured mean trip count of a loop, when the profile has one. *)
-let measured_trips env (s : Stmt.t) =
-  match env.opts.profile with
-  | None -> None
-  | Some data -> (
-      match Profile.Key.of_loc s.Stmt.loc with
-      | None -> None
-      | Some key ->
-          Option.bind (Profile.Data.find_loop data key) Profile.Data.mean_trips)
 
 (* Rewrite an all-vector serial loop body for residency: accumulators
    become register-resident [Vdef]s with a load before and a store after
@@ -670,7 +647,7 @@ let try_strip_residency env (k_stmt : Stmt.t) (k : Stmt.do_loop) :
               | _ -> Cost.default_trip
             in
             let reps =
-              match measured_trips env k_stmt with
+              match Decide.trips env.decide k_stmt.Stmt.loc with
               | Some t when t > 0 ->
                   env.stats.pgo_priced <- env.stats.pgo_priced + 1;
                   t
@@ -869,15 +846,15 @@ let max_vt_used (func : Func.t) =
     func.Func.body;
   !m
 
-let run ?(options = default_options) ?(stats = new_stats ()) (prog : Prog.t)
+let run ?(stats = new_stats ()) (decide : Decide.t) (prog : Prog.t)
     (func : Func.t) : bool =
   let env =
     {
       prog;
       func;
       ctx = Builder.ctx prog func;
-      noalias = options.assume_noalias;
-      opts = options;
+      noalias = decide.Decide.assume_noalias;
+      decide;
       stats;
       next_vt = max_vt_used func + 1;
       changed = false;
@@ -889,12 +866,8 @@ let run ?(options = default_options) ?(stats = new_stats ()) (prog : Prog.t)
     | Stmt.Do_loop d -> (
         let d = { d with Stmt.body = walk d.Stmt.body } in
         let s = { s with Stmt.desc = Stmt.Do_loop d } in
-        let gated_off =
-          match options.tune with
-          | None -> false
-          | Some f -> f s.Stmt.loc = Some false
-        in
-        if gated_off then [ s ]
+        if Decide.override decide Decide.Vreuse s.Stmt.loc = Some false then
+          [ s ]
         else
           match try_strip_residency env s d with
           | Some stmts -> stmts

@@ -28,18 +28,6 @@
 
 open Vpc_il
 
-type options = {
-  assume_noalias : bool;  (** pointer params get Fortran semantics *)
-  profile : Vpc_profile.Data.t option;  (** refines repetition counts *)
-  report : (string -> unit) option;  (** one line per decision *)
-  tune : (Vpc_support.Loc.t -> bool option) option;
-      (** autotuned per-loop gate: [Some false] leaves this DO loop's
-          vector statements untouched; [Some true]/[None] follow the
-          static policy *)
-}
-
-val default_options : options
-
 type stats = {
   mutable strips_interchanged : int;  (** strip loop hoisted over a DO *)
   mutable accumulators_localized : int;
@@ -52,5 +40,7 @@ type stats = {
 
 val new_stats : unit -> stats
 
-(** Rewrite [func] in place; [true] if anything changed. *)
-val run : ?options:options -> ?stats:stats -> Prog.t -> Func.t -> bool
+(** Rewrite [func] in place; [true] if anything changed.  A tuned
+    [Vreuse] override of [false] at a DO loop's header leaves that loop's
+    vector statements untouched. *)
+val run : ?stats:stats -> Vpc_tune.Decide.t -> Prog.t -> Func.t -> bool

@@ -26,7 +26,6 @@ let default =
     inline_calls = [];
   }
 
-let is_default t = t = default
 let equal (a : t) (b : t) = a = b
 
 let mode_name = function

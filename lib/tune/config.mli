@@ -30,7 +30,6 @@ type t = {
 (** All-default: every decision left to the static pipeline. *)
 val default : t
 
-val is_default : t -> bool
 val equal : t -> t -> bool
 
 (** Canonical [key=value] field list, sorted by key, defaults omitted —

@@ -25,9 +25,5 @@ type nest = {
                                      when no profile is available *)
 }
 
-(** All outermost DO-loop nests of the function, in body order.  Pure
-    reader: the function is not modified. *)
-val nests_of_func : Prog.t -> Func.t -> nest list
-
 (** Every function's nests, in program order. *)
 val nests : Prog.t -> nest list

@@ -19,6 +19,8 @@ open Vpc_il
 open Vpc_dependence
 module Profile = Vpc_profile
 module Cost = Vpc_titan.Cost
+module Decide = Vpc_tune.Decide
+module Config = Vpc_tune.Config
 
 (* Facts the symbolic range analysis can prove about an expression at a
    loop header, supplied as closures so this library does not depend on
@@ -39,46 +41,6 @@ type pgo_choice = {
   scalar_parallel : bool;  (* spread sequential groups over processors *)
   chosen_vlen : int;
 }
-
-type options = {
-  vectorize : bool;
-  parallelize : bool;
-  vlen : int;                (* vector strip length; the paper uses 32 *)
-  assume_noalias : bool;     (* pointer params have Fortran semantics *)
-  fuse_strips : bool;
-      (* let singleton vector groups connected only by loop-independent
-         dependences share one strip loop (one vi/len, one barrier) *)
-  profile : Profile.Data.t option;
-      (* measured trip counts: consult the Titan cost model per loop *)
-  report : (string -> unit) option;  (* one line per profile-guided call *)
-  vreuse : bool;
-      (* vector-register reuse runs downstream: price accumulator loops
-         with the port-traffic model's residency estimate *)
-  why_scalar : (string -> unit) option;
-      (* one line per loop left scalar, naming the unresolved alias pair
-         (with source locations) or the rejecting shape/dependence *)
-  range : range_facts option;
-      (* symbolic ranges: dependence tests work on symbolic distances,
-         and strips whose trip count is a proven multiple of the strip
-         length drop their per-strip length guards *)
-  tune : (Stmt.t -> pgo_choice option) option;
-      (* autotuned per-nest override, consulted before the profile *)
-}
-
-let default_options =
-  {
-    vectorize = true;
-    parallelize = true;
-    vlen = 32;
-    assume_noalias = false;
-    fuse_strips = false;
-    profile = None;
-    report = None;
-    vreuse = false;
-    why_scalar = None;
-    range = None;
-    tune = None;
-  }
 
 type stats = {
   mutable loops_examined : int;
@@ -267,105 +229,125 @@ let residency_candidates ~noalias (body : Stmt.t list) : int =
    profile byte-identical to compilation without one.  A loop measured
    cold (entered zero times) also returns [None] — there is nothing to
    win there either way. *)
-let pgo_decide (opts : options) (data : Profile.Data.t) (loop_stmt : Stmt.t)
-    (body : Stmt.t list) : pgo_choice option =
-  match Profile.Key.of_loc loop_stmt.Stmt.loc with
+let pgo_decide (decide : Decide.t) (loop_stmt : Stmt.t) (body : Stmt.t list) :
+    pgo_choice option =
+  match Decide.measured decide loop_stmt.Stmt.loc with
   | None -> None
-  | Some key -> (
-      match Profile.Data.find_loop data key with
-      | None -> None
-      | Some lp -> (
-          match Profile.Data.mean_trips lp with
-          | None | Some 0 -> None
-          | Some trips ->
-              let shape = body_shape body in
-              let sched = Cost.sched_of_name data.Profile.Data.sched in
-              let procs = data.Profile.Data.procs in
-              let scalar = Cost.scalar_loop_cycles ~sched shape ~trips in
-              (* candidate strip lengths: the machine length, plus a
-                 balanced length that spreads the measured trips evenly
-                 over the processors *)
-              let balanced = max 1 ((trips + procs - 1) / procs) in
-              let candidates =
-                if balanced < opts.vlen then [ opts.vlen; balanced ]
-                else [ opts.vlen ]
+  | Some (key, lp) -> (
+      let base_vlen = decide.Decide.vlen in
+      match Profile.Data.mean_trips lp with
+      | None | Some 0 -> None
+      | Some trips ->
+          let shape = body_shape body in
+          let sched, procs = Decide.machine decide ~static:(Cost.Full, 1) in
+          let parallelize = Decide.on decide `Parallelize in
+          let scalar = Cost.scalar_loop_cycles ~sched shape ~trips in
+          (* candidate strip lengths: the machine length, plus a
+             balanced length that spreads the measured trips evenly
+             over the processors *)
+          let balanced = max 1 ((trips + procs - 1) / procs) in
+          let candidates =
+            if balanced < base_vlen then [ base_vlen; balanced ]
+            else [ base_vlen ]
+          in
+          let consider (best_cost, best) vlen ~parallel =
+            if parallel && (procs <= 1 || not parallelize) then
+              (best_cost, best)
+            else
+              let c =
+                Cost.vector_loop_cycles shape ~trips ~vlen ~procs ~parallel
               in
-              let consider (best_cost, best) vlen ~parallel =
-                if parallel && (procs <= 1 || not opts.parallelize) then
-                  (best_cost, best)
-                else
-                  let c =
-                    Cost.vector_loop_cycles shape ~trips ~vlen ~procs ~parallel
-                  in
-                  if c < best_cost then (c, Some (vlen, parallel))
-                  else (best_cost, best)
+              if c < best_cost then (c, Some (vlen, parallel))
+              else (best_cost, best)
+          in
+          let vcost, vbest =
+            List.fold_left
+              (fun acc vlen ->
+                consider (consider acc vlen ~parallel:false) vlen
+                  ~parallel:true)
+              (max_int, None) candidates
+          in
+          (* with the reuse pass downstream, an accumulator loop's
+             vector form is priced with its resident sections out of
+             the memory traffic; residency needs serial strips *)
+          let resident =
+            if Decide.on decide `Vreuse then
+              min
+                (residency_candidates ~noalias:decide.Decide.assume_noalias
+                   body)
+                shape.Cost.mem_refs
+            else 0
+          in
+          let rcost =
+            if resident = 0 then max_int
+            else
+              Cost.reuse_vector_loop_cycles shape ~trips ~vlen:base_vlen
+                ~resident ~reps:Cost.default_trip
+          in
+          let keep_scalar = scalar <= min vcost rcost in
+          let scalar_parallel =
+            parallelize
+            && Cost.parallel_scalar_cycles ~sched shape ~trips ~procs
+               < scalar
+          in
+          let chosen_vlen, strip_parallel =
+            if rcost < vcost then (base_vlen, false)
+            else
+              match vbest with
+              | Some (v, p) -> (v, p)
+              | None -> (base_vlen, false)
+          in
+          (match decide.Decide.report with
+          | Some report ->
+              let be =
+                Cost.vector_break_even ~sched shape ~vlen:base_vlen ~procs
+                  ~parallelize
               in
-              let vcost, vbest =
-                List.fold_left
-                  (fun acc vlen ->
-                    consider (consider acc vlen ~parallel:false) vlen
-                      ~parallel:true)
-                  (max_int, None) candidates
-              in
-              (* with the reuse pass downstream, an accumulator loop's
-                 vector form is priced with its resident sections out of
-                 the memory traffic; residency needs serial strips *)
-              let resident =
-                if opts.vreuse then
-                  min
-                    (residency_candidates ~noalias:opts.assume_noalias body)
-                    shape.Cost.mem_refs
-                else 0
-              in
-              let rcost =
-                if resident = 0 then max_int
-                else
-                  Cost.reuse_vector_loop_cycles shape ~trips ~vlen:opts.vlen
-                    ~resident ~reps:Cost.default_trip
-              in
-              let keep_scalar = scalar <= min vcost rcost in
-              let scalar_parallel =
-                opts.parallelize
-                && Cost.parallel_scalar_cycles ~sched shape ~trips ~procs
-                   < scalar
-              in
-              let chosen_vlen, strip_parallel =
-                if rcost < vcost then (opts.vlen, false)
-                else
-                  match vbest with
-                  | Some (v, p) -> (v, p)
-                  | None -> (opts.vlen, false)
-              in
-              (match opts.report with
-              | Some report ->
-                  let be =
-                    Cost.vector_break_even ~sched shape ~vlen:opts.vlen ~procs
-                      ~parallelize:opts.parallelize
-                  in
-                  report
-                    (Printf.sprintf
-                       "loop %s: measured trips≈%d (%d entries): est scalar=%d \
-                        vector=%d%s (strip %d%s) break-even=%s -> %s"
-                       (Profile.Key.to_string key)
-                       trips lp.Profile.Data.entries scalar
-                       (if vcost = max_int then -1 else vcost)
-                       (if rcost = max_int then ""
-                        else Printf.sprintf " reuse=%d" rcost)
-                       chosen_vlen
-                       (if strip_parallel then
-                          Printf.sprintf " x%d procs" procs
-                        else " serial")
-                       (match be with
-                       | Some b -> string_of_int b
-                       | None -> "never")
-                       (if keep_scalar then "scalar"
-                        else if strip_parallel then "vector do-parallel"
-                        else "vector serial"))
-              | None -> ());
-              Some { keep_scalar; strip_parallel; scalar_parallel; chosen_vlen }
-          ))
+              report
+                (Printf.sprintf
+                   "loop %s: measured trips≈%d (%d entries): est scalar=%d \
+                    vector=%d%s (strip %d%s) break-even=%s -> %s"
+                   (Profile.Key.to_string key)
+                   trips lp.Profile.Data.entries scalar
+                   (if vcost = max_int then -1 else vcost)
+                   (if rcost = max_int then ""
+                    else Printf.sprintf " reuse=%d" rcost)
+                   chosen_vlen
+                   (if strip_parallel then
+                      Printf.sprintf " x%d procs" procs
+                    else " serial")
+                   (match be with
+                   | Some b -> string_of_int b
+                   | None -> "never")
+                   (if keep_scalar then "scalar"
+                    else if strip_parallel then "vector do-parallel"
+                    else "vector serial"))
+          | None -> ());
+          Some { keep_scalar; strip_parallel; scalar_parallel; chosen_vlen })
 
-let process_loop (opts : options) stats prog (func : Func.t)
+(* A tuned nest's treatment, ahead of the profile and the static
+   policy: a mode pins scalar, serial-strip or parallel-strip code, and a
+   strip length alone keeps the static parallel choice. *)
+let tuned_choice (decide : Decide.t) (loop_stmt : Stmt.t) =
+  let loc = loop_stmt.Stmt.loc in
+  let strip = Decide.override decide Decide.Strip loc in
+  let choice keep par =
+    Some
+      {
+        keep_scalar = keep;
+        strip_parallel = par;
+        scalar_parallel = par;
+        chosen_vlen = Option.value strip ~default:decide.Decide.vlen;
+      }
+  in
+  match (Decide.override decide Decide.Mode loc, strip) with
+  | Some Config.Scalar, _ -> choice true false
+  | Some Config.Vector, _ -> choice false false
+  | Some Config.Parallel, _ -> choice false true
+  | None, Some _ -> choice false (Decide.on decide `Parallelize)
+  | None, None -> None
+
+let process_loop (decide : Decide.t) ?range stats prog (func : Func.t)
     (live : Vpc_analysis.Liveness.t) (loop_stmt : Stmt.t) (d : Stmt.do_loop) :
     Stmt.t list option =
   stats.loops_examined <- stats.loops_examined + 1;
@@ -389,21 +371,17 @@ let process_loop (opts : options) stats prog (func : Func.t)
   let trip_const = Expr.const_int_val trip_expr in
   (* a tuned per-nest override pins the treatment outright; otherwise
      measured trip counts, when a profile has them for this loop *)
-  let tuned =
-    match opts.tune with None -> None | Some f -> f loop_stmt
-  in
+  let parallelize = Decide.on decide `Parallelize in
+  let tuned = tuned_choice decide loop_stmt in
   let pgo =
     match tuned with
     | Some _ -> tuned
-    | None -> (
-        match opts.profile with
-        | None -> None
-        | Some data -> pgo_decide opts data loop_stmt d.body)
+    | None -> pgo_decide decide loop_stmt d.body
   in
   match pgo with
   | Some { keep_scalar = true; _ } ->
       stats.pgo_scalar_loops <- stats.pgo_scalar_loops + 1;
-      (match opts.why_scalar with
+      (match decide.Decide.why_scalar with
       | Some say ->
           say
             (Printf.sprintf
@@ -417,7 +395,7 @@ let process_loop (opts : options) stats prog (func : Func.t)
       None  (* below break-even: the serial DO loop is the fast version *)
   | _ ->
   let strip_vlen =
-    match pgo with Some c -> c.chosen_vlen | None -> opts.vlen
+    match pgo with Some c -> c.chosen_vlen | None -> decide.Decide.vlen
   in
   let strip_par_ok =
     match pgo with Some c -> c.strip_parallel | None -> true
@@ -425,12 +403,12 @@ let process_loop (opts : options) stats prog (func : Func.t)
   let scalar_par_ok =
     match pgo with Some c -> c.scalar_parallel | None -> true
   in
-  let assume_noalias = opts.assume_noalias || d.independent in
+  let assume_noalias = decide.Decide.assume_noalias || d.independent in
   let pp_e0 ppf e = Pp.pp_expr { Pp.prog; Pp.func = Some func } ppf e in
   (* distances the range analysis could not bound, for --why-scalar *)
   let range_notes = ref [] in
   let graph =
-    match opts.range with
+    match range with
     | None ->
         Graph.build ~assume_noalias ~trip:trip_const body ~index:d.index
           ~invariant
@@ -466,7 +444,7 @@ let process_loop (opts : options) stats prog (func : Func.t)
      it against the full strips, which costs more on a multiprocessor
      than the clamp saves. *)
   let range_trip =
-    match opts.range with
+    match range with
     | None -> Trip_unknown
     | Some rf -> (
         match trip_const with
@@ -483,7 +461,7 @@ let process_loop (opts : options) stats prog (func : Func.t)
   let why fmt =
     Format.kasprintf
       (fun msg ->
-        match opts.why_scalar with
+        match decide.Decide.why_scalar with
         | Some say ->
             say
               (Printf.sprintf "%s: loop at %s stays scalar: %s"
@@ -544,7 +522,7 @@ let process_loop (opts : options) stats prog (func : Func.t)
   in
   if not graph.Graph.analyzable then begin
     stats.loops_rejected_shape <- stats.loops_rejected_shape + 1;
-    (if opts.why_scalar <> None then
+    (if decide.Decide.why_scalar <> None then
        let offender =
          List.find_opt
            (fun (s : Stmt.t) ->
@@ -700,7 +678,7 @@ let process_loop (opts : options) stats prog (func : Func.t)
       let group_stmts = List.map (fun i -> body_arr.(i)) members in
       let carried_inside = Graph.has_carried_cycle graph members in
       let vector_candidate =
-        opts.vectorize && (not carried_inside)
+        Decide.on decide `Vectorize && (not carried_inside)
         &&
         match members, group_stmts with
         | [ _pos ], [ { Stmt.desc = Stmt.Assign (Stmt.Lmem addr, rhs); _ } ] -> (
@@ -756,10 +734,10 @@ let process_loop (opts : options) stats prog (func : Func.t)
                     (* strip-mined loop, parallel across processors *)
                     let vi = Builder.fresh_temp b ~name:"vi" Ty.Int in
                     let vi_e = Expr.var vi in
-                    let parallel = opts.parallelize && strip_par_ok in
-                    if opts.parallelize && not strip_par_ok then
+                    let parallel = parallelize && strip_par_ok in
+                    if parallelize && not strip_par_ok then
                       stats.pgo_serial_strips <- stats.pgo_serial_strips + 1;
-                    if strip_vlen <> opts.vlen then
+                    if strip_vlen <> decide.Decide.vlen then
                       stats.pgo_strip_adjusted <- stats.pgo_strip_adjusted + 1;
                     if parallel then any_parallel := true;
                     let strip_loop ~hi body_stmts =
@@ -811,7 +789,7 @@ let process_loop (opts : options) stats prog (func : Func.t)
       (* A dependence-free scalar group can still be spread over
          processors if its scalar definitions die with the loop. *)
       let parallel_ok =
-        opts.parallelize && scalar_par_ok && (not carried_inside)
+        parallelize && scalar_par_ok && (not carried_inside)
         && List.for_all
              (fun v ->
                not
@@ -837,7 +815,7 @@ let process_loop (opts : options) stats prog (func : Func.t)
       | [ pos ] -> (
           match body_arr.(pos) with
           | { Stmt.desc = Stmt.Assign (Stmt.Lmem addr, rhs); _ } as st
-            when opts.vectorize
+            when Decide.on decide `Vectorize
                  && not (Graph.has_carried_cycle graph members) -> (
               match affine_of addr with
               | Some a when a.Subscript.coeff <> 0 -> Some (pos, st, addr, a, rhs)
@@ -908,10 +886,10 @@ let process_loop (opts : options) stats prog (func : Func.t)
                       Builder.stmt b ~loc (Stmt.Vector v))
                     infos
                 in
-                let parallel = opts.parallelize && strip_par_ok in
-                if opts.parallelize && not strip_par_ok then
+                let parallel = parallelize && strip_par_ok in
+                if parallelize && not strip_par_ok then
                   stats.pgo_serial_strips <- stats.pgo_serial_strips + 1;
-                if strip_vlen <> opts.vlen then
+                if strip_vlen <> decide.Decide.vlen then
                   stats.pgo_strip_adjusted <- stats.pgo_strip_adjusted + 1;
                 if parallel then any_parallel := true;
                 any_vector := true;
@@ -955,7 +933,8 @@ let process_loop (opts : options) stats prog (func : Func.t)
     if ordered_groups = [] then None
     else begin
       let pieces =
-        if not opts.fuse_strips then List.concat_map emit_group ordered_groups
+        if not (Decide.on decide `Fuse) then
+          List.concat_map emit_group ordered_groups
         else begin
           let rec gather pieces run = function
             | [] -> pieces @ emit_run (List.rev run)
@@ -987,7 +966,7 @@ let process_loop (opts : options) stats prog (func : Func.t)
       if !any_parallel then stats.loops_parallelized <- stats.loops_parallelized + 1;
       if (not !any_vector) && not !any_parallel then begin
         stats.loops_rejected_dependence <- stats.loops_rejected_dependence + 1;
-        (if opts.why_scalar <> None then
+        (if decide.Decide.why_scalar <> None then
            let missing_fact =
              match !range_notes with
              | note :: _ -> Printf.sprintf " (%s)" note
@@ -1012,7 +991,7 @@ let process_loop (opts : options) stats prog (func : Func.t)
     end
   end
 
-let run ?(options = default_options) ?(stats = new_stats ()) (prog : Prog.t)
+let run ?(stats = new_stats ()) ?range (decide : Decide.t) (prog : Prog.t)
     (func : Func.t) =
   let live = Vpc_analysis.Liveness.build func in
   let changed = ref false in
@@ -1020,7 +999,7 @@ let run ?(options = default_options) ?(stats = new_stats ()) (prog : Prog.t)
   and walk_stmt (s : Stmt.t) : Stmt.t list =
     match s.Stmt.desc with
     | Stmt.Do_loop d when is_normalized d && not (contains_inner_loop d.body) -> (
-        match process_loop options stats prog func live s d with
+        match process_loop decide ?range stats prog func live s d with
         | Some replacement ->
             changed := true;
             replacement

@@ -28,47 +28,6 @@ type range_facts = {
       (** is the expression provably a multiple of the divisor? *)
 }
 
-(** What to do with one loop, resolved ahead of the static policy — the
-    shape both the profile (PGO) and the autotuner ([--tune]) speak. *)
-type pgo_choice = {
-  keep_scalar : bool;      (** below break-even: leave the DO loop alone *)
-  strip_parallel : bool;   (** spread vector strips over processors *)
-  scalar_parallel : bool;  (** spread sequential groups over processors *)
-  chosen_vlen : int;
-}
-
-type options = {
-  vectorize : bool;
-  parallelize : bool;
-  vlen : int;             (** strip length; the paper uses 32 *)
-  assume_noalias : bool;  (** pointer params get Fortran semantics *)
-  fuse_strips : bool;
-      (** singleton vector groups linked only by loop-independent
-          dependences share one strip loop (one barrier) *)
-  profile : Vpc_profile.Data.t option;  (** measured trip counts *)
-  report : (string -> unit) option;     (** decision explanations *)
-  vreuse : bool;
-      (** the vector-register reuse pass runs downstream: price
-          accumulator loops with the residency-aware traffic model *)
-  why_scalar : (string -> unit) option;
-      (** one line per loop left scalar, naming the unresolved alias
-          pair with source locations, the rejecting statement, or the
-          carried dependence cycle — including the symbolic distance
-          whose range was too weak, when range analysis ran *)
-  range : range_facts option;
-      (** symbolic ranges: dependence testing works on symbolic
-          distances and trip counts, and strips whose trip count is a
-          proven multiple of the strip length drop their per-strip
-          length guards (a constant remainder peels into one short
-          epilogue vector) *)
-  tune : (Stmt.t -> pgo_choice option) option;
-      (** autotuned per-nest override, consulted before the profile:
-          [Some choice] pins this loop's treatment (mode and strip
-          length); [None] falls through to PGO then the static policy *)
-}
-
-val default_options : options
-
 type stats = {
   mutable loops_examined : int;
   mutable loops_vectorized : int;
@@ -86,4 +45,17 @@ type stats = {
 }
 
 val new_stats : unit -> stats
-val run : ?options:options -> ?stats:stats -> Prog.t -> Func.t -> bool
+
+(** Vectorize ([`Vectorize] on) and parallelize ([`Parallelize] on)
+    every innermost normalized DO loop of the function in place; [true]
+    if any loop changed.  With [`Fuse] on, singleton vector groups linked
+    only by loop-independent dependences share one strip loop; with
+    [`Vreuse] on, profiled accumulator loops are priced with the
+    residency-aware traffic model.  [range] supplies symbolic ranges:
+    dependence tests work on symbolic distances and trip counts, and
+    strips whose trip count is a proven multiple of the strip length drop
+    their per-strip length guards.  A tuned [Mode] or [Strip] override at
+    the loop's header pins its treatment ahead of the profile. *)
+val run :
+  ?stats:stats -> ?range:range_facts -> Vpc_tune.Decide.t -> Prog.t ->
+  Func.t -> bool

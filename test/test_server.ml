@@ -204,9 +204,13 @@ let test_copts_unknown_flag () =
   let rejected what f =
     match f () with
     | exception Vpc_support.Sexp.Parse_error _ -> ()
-    | _ -> Alcotest.failf "%s accepted an unknown flag" what
+    | _ -> Alcotest.failf "%s accepted a malformed option set" what
   in
   rejected "copts_of_sexp" (fun () -> ignore (S.copts_of_sexp (S.copts_to_sexp bogus)));
+  rejected "copts_of_sexp vlen 0" (fun () ->
+      ignore
+        (S.copts_of_sexp
+           (S.copts_to_sexp { S.default_copts with S.vlen = 0 })));
   rejected "to_options" (fun () -> ignore (S.to_options bogus))
 
 (* Keys ------------------------------------------------------------------- *)
@@ -457,6 +461,15 @@ let test_daemon_roundtrip () =
       | exception End_of_file -> ()
       | Vpc_server.Protocol.Error _ -> ()
       | _ -> Alcotest.fail "a request with an unknown flag was compiled");
+      (* a strip length below 1 is refused with an error reply (it used
+         to kill the daemon with a division by zero) *)
+      (match
+         Vpc_server.Protocol.request ~socket:socket_path
+           (Vpc_server.Protocol.Compile
+              (req ~opts:{ S.default_copts with S.vlen = 0 } (chain_src ())))
+       with
+      | Vpc_server.Protocol.Error _ -> ()
+      | _ -> Alcotest.fail "a request with vlen 0 got no error reply");
       (* a unit whose exit is unreachable is served, and the daemon
          survives it to serve the next request *)
       List.iter

@@ -252,6 +252,132 @@ let search_and_replay () =
       Alcotest.fail "winners found but replay equals the static compile"
   end
 
+(* ---- every override reaches its pass ----
+
+   One row per override the tuning plan can carry.  Each row forces the
+   answer the static (or profiled) compile does not pick; the override
+   must change the emitted IL, and the overridden program must still
+   compute what the -O0 interpretation computes. *)
+
+(* The scout nest headed at source line [line]. *)
+let nest_at src line =
+  match
+    List.find_opt
+      (fun (n : Tune.Fingerprint.nest) ->
+        n.Tune.Fingerprint.loc.Vpc.Support.Loc.start_pos.Vpc.Support.Loc.line
+        = line)
+      (nests_of src)
+  with
+  | Some n -> n
+  | None -> Alcotest.failf "no scout nest at line %d" line
+
+(* The location of the first direct call of [callee] in [src]. *)
+let call_site src callee =
+  let prog = Vpc.parse src in
+  let site =
+    List.find_map
+      (fun f ->
+        List.find_map
+          (fun (s : Vpc.Il.Stmt.t) ->
+            match s.Vpc.Il.Stmt.desc with
+            | Vpc.Il.Stmt.Call (_, Vpc.Il.Stmt.Direct name, _)
+              when name = callee ->
+                Some s.Vpc.Il.Stmt.loc
+            | _ -> None)
+          (Vpc.Il.Func.all_stmts f))
+      prog.Vpc.Il.Prog.funcs
+  in
+  match site with Some l -> l | None -> Alcotest.failf "no call of %s" callee
+
+let nest_plan src line cfg = Tune.Decide.plan_of [ (nest_at src line, cfg) ]
+
+(* A matrix product whose k loop carries the c[i][*] accumulator: with
+   serial strips the reuse pass keeps that row in a vector register. *)
+let accumulate_src =
+  {|double a[64][64], b[64][64], c[64][64];
+    int main() {
+      int i, j, k;
+      for (i = 0; i < 64; i++)
+        for (j = 0; j < 64; j++) {
+          a[i][j] = i + j; b[i][j] = i - j; c[i][j] = 0.0;
+        }
+      for (i = 0; i < 64; i++)
+        for (k = 0; k < 64; k++)
+          for (j = 0; j < 64; j++)
+            c[i][j] = c[i][j] + a[i][k] * b[k][j];
+      printf("%g %g\n", c[3][5], c[63][63]);
+      return 0;
+    }|}
+
+(* (row, program, untuned options, plan) *)
+let override_rows () =
+  let example f = Helpers.read_file ("../examples/" ^ f) in
+  let quick = example "quickstart.c" in
+  let recurrence = example "recurrence.c" in
+  let daxpy = example "daxpy_inline.c" in
+  let interchange = Test_transforms.interchange_src in
+  let cfg = Tune.Config.default in
+  (* a profile measured at one processor keeps the profiled compile's
+     strips serial: the static policy would already spread them, and
+     serial strips are what the reuse pass keeps resident *)
+  let profiled src =
+    { Vpc.o3 with Vpc.profile = Some (fst (Vpc.profile_gen src)) }
+  in
+  let mode m = { cfg with Tune.Config.mode = Some m } in
+  [
+    ("mode scalar", quick, Vpc.o3, nest_plan quick 7 (mode Tune.Config.Scalar));
+    ("mode vector", quick, Vpc.o3, nest_plan quick 7 (mode Tune.Config.Vector));
+    ( "mode parallel",
+      quick,
+      profiled quick,
+      nest_plan quick 7 (mode Tune.Config.Parallel) );
+    ( "strip",
+      quick,
+      Vpc.o3,
+      nest_plan quick 7 { cfg with Tune.Config.strip = Some 8 } );
+    ( "fuse",
+      quick,
+      Vpc.o3,
+      nest_plan quick 7 { cfg with Tune.Config.fuse = Some false } );
+    ( "interchange",
+      interchange,
+      Vpc.o3,
+      nest_plan interchange 4 { cfg with Tune.Config.interchange = Some false }
+    );
+    ( "vreuse",
+      accumulate_src,
+      profiled accumulate_src,
+      nest_plan accumulate_src 8 { cfg with Tune.Config.vreuse = Some false } );
+    ( "doacross",
+      recurrence,
+      Vpc.o3,
+      nest_plan recurrence 7 { cfg with Tune.Config.doacross = Some false } );
+    ( "inline site",
+      daxpy,
+      Vpc.o3,
+      {
+        Tune.Decide.nests = [];
+        calls = [ (call_site daxpy "daxpy", false) ];
+      } );
+  ]
+
+let overrides_reach_passes () =
+  List.iter
+    (fun (name, src, base, plan) ->
+      let untuned = fst (compile_text ~options:base src) in
+      let tuned, _ =
+        Vpc.compile ~options:{ base with Vpc.tune = `Plan plan } src
+      in
+      if Vpc.Il.Pp.prog_to_string tuned = untuned then
+        Alcotest.failf "%s: the override left the IL unchanged" name;
+      Alcotest.(check string)
+        (name ^ ": overridden program agrees with -O0")
+        (Helpers.interp_output (Helpers.compile ~options:Vpc.o0 src))
+        (Helpers.titan_output
+           ~config:{ Vpc.Titan.Machine.default_config with procs = 4 }
+           tuned))
+    (override_rows ())
+
 let tests =
   [
     Alcotest.test_case "config: codec round-trip" `Quick codec_round_trip;
@@ -267,4 +393,6 @@ let tests =
       empty_store_byte_identity;
     Alcotest.test_case "tune: search, replay determinism, differential"
       `Quick search_and_replay;
+    Alcotest.test_case "overrides: every override reaches its pass" `Quick
+      overrides_reach_passes;
   ]

@@ -246,7 +246,8 @@ let vectorize_stats () =
   let prog = compile ~options:{ Vpc.o1 with Vpc.off = [ `Strength_reduction ] } src in
   let stats = Vpc.Vectorize.Vectorize.new_stats () in
   List.iter
-    (fun f -> ignore (Vpc.Vectorize.Vectorize.run ~stats prog f))
+    (fun f ->
+      ignore (Vpc.Vectorize.Vectorize.run ~stats (Vpc.decide Vpc.o2) prog f))
     prog.Vpc.Il.Prog.funcs;
   Alcotest.(check int) "examined 2" 2 stats.loops_examined;
   Alcotest.(check int) "one vectorized" 1 stats.loops_vectorized;

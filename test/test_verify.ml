@@ -504,6 +504,15 @@ let cli_symbolic_no_vectorize () =
     (run_cli
        [ "../examples/symbolic.c"; "-O"; "2"; "--no-vectorize"; "--verify-il" ])
 
+(* A strip length below 1 is a usage error (exit 1): zero used to
+   divide by zero in codegen, and a negative length miscompiled. *)
+let cli_vlen_below_one () =
+  Alcotest.(check int) "--vlen=0 is a usage error (exit 1)" 1
+    (run_cli [ "../examples/matmul.c"; "-O"; "3"; "--vlen=0"; "--no-run" ]);
+  Alcotest.(check int) "--vlen=-4 is a usage error (exit 1)" 1
+    (run_cli
+       [ "../examples/matmul.c"; "--vlen=-4"; "-p"; "4"; "--check"; "-q" ])
+
 let tests =
   [
     Alcotest.test_case "examples verify at every stage" `Slow examples_verify;
@@ -528,6 +537,8 @@ let tests =
       wrong_const_invisible_to_verifier;
     Alcotest.test_case "titancc exit codes" `Slow cli_exit_codes;
     Alcotest.test_case "titancc unreachable exit" `Quick cli_unreachable_exit;
+    Alcotest.test_case "titancc rejects a strip length below 1" `Quick
+      cli_vlen_below_one;
     Alcotest.test_case "titancc range-proved parallel loop verifies" `Quick
       cli_symbolic_no_vectorize;
   ]

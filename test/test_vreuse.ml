@@ -48,9 +48,9 @@ let sec ?(count = 8) ?(stride = 4) base =
 
 let store b s ve = Builder.stmt b (Stmt.Vector { Stmt.vdst = s; vsrc = ve; velt = Ty.Float })
 
-let run_vreuse ?options prog main =
+let run_vreuse prog main =
   let stats = Vreuse.new_stats () in
-  let changed = Vreuse.run ?options ~stats prog main in
+  let changed = Vreuse.run ~stats (Vpc.decide Vpc.o3) prog main in
   (changed, stats)
 
 let check_counts name ~forwarded ~shared (stats : Vreuse.stats) =
