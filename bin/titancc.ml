@@ -177,8 +177,8 @@ let run_compiler file opt_level inline_only disabled lint why_scalar
               let st = tr.Vpc.tune_stats in
               Printf.eprintf
                 "[tune] %d nests considered, %d improved; %d candidates \
-                 evaluated, %d pruned by cost, %d rejected; %.2fs \
-                 simulating -> %s\n"
+                 evaluated, %d skipped (same decisions as an earlier \
+                 compile), %d rejected; %.2fs evaluating -> %s\n"
                 tr.Vpc.nests_considered tr.Vpc.nests_improved
                 st.Vpc.Tune.Search.evaluated st.Vpc.Tune.Search.pruned
                 st.Vpc.Tune.Search.rejected st.Vpc.Tune.Search.sim_seconds

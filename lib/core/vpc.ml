@@ -136,8 +136,14 @@ let enabled options sw =
      || (sw = `Inline && options.inline_only <> []))
 
 (* The decision context every cost-gated pass reads, built once per
-   compile. *)
-let decide ?plan options =
+   compile.  Every pass that strip-mines divides by the vector length,
+   so a length below 1 is refused here, at the one place each library
+   entry point (compile, tune, the compile service) passes through. *)
+let decide ?plan ?log options =
+  if options.vlen < 1 then
+    invalid_arg
+      (Printf.sprintf "Vpc: vector length must be at least 1 (got %d)"
+         options.vlen);
   {
     Tune.Decide.switches =
       List.filter_map
@@ -147,6 +153,7 @@ let decide ?plan options =
     vlen = options.vlen;
     profile = options.profile;
     plan;
+    log;
     report = options.report;
     why_scalar = options.why_scalar;
   }
@@ -397,9 +404,10 @@ let passes =
 
 (* Run the optimization pipeline in place.  [timer] buckets the wall
    time of each phase group, and of each per-function pass inside
-   "transforms", for [--timings]. *)
+   "transforms", for [--timings]; [log] records every tuning query and
+   the decision it resolved to. *)
 let rec optimize ?(options = default_options) ?(stats = new_stats ()) ?timer
-    (prog : Il.Prog.t) =
+    ?log (prog : Il.Prog.t) =
   let timed phase f =
     match timer with Some t -> Support.Timing.time t phase f | None -> f ()
   in
@@ -432,7 +440,7 @@ let rec optimize ?(options = default_options) ?(stats = new_stats ()) ?timer
                  Tune.Decide.plan_of
                    (List.filter_map stored (Tune.Fingerprint.nests clone))))
   in
-  let decide = decide ?plan options in
+  let decide = decide ?plan ?log options in
   timed "catalog-import" (fun () ->
       List.iter
         (fun file -> Inline.Catalog.import ~into:prog (Inline.Catalog.load file))
@@ -549,6 +557,60 @@ let profile_gen ?(config = Titan.Machine.default_config) ?entry ?args ?file
 (* Simulator-in-the-loop autotuning                                    *)
 (* ------------------------------------------------------------------ *)
 
+(* The search space of one nest: a dimension per knob, each searched
+   only while its switch is on. *)
+let tune_dims options (n : Tune.Fingerprint.nest) =
+  let dim sw dim_name values =
+    if enabled options sw then [ { Tune.Search.dim_name; values } ] else []
+  in
+  let tri sw dim_name set =
+    dim sw dim_name (List.map set [ None; Some false; Some true ])
+  in
+  dim `Vectorize "mode"
+    (List.map
+       (fun m (c : Tune.Config.t) -> { c with Tune.Config.mode = m })
+       [
+         None;
+         Some Tune.Config.Scalar;
+         Some Tune.Config.Vector;
+         Some Tune.Config.Parallel;
+       ])
+  @ dim `Vectorize "strip"
+      (List.map
+         (fun v (c : Tune.Config.t) -> { c with Tune.Config.strip = v })
+         [ None; Some 8; Some 16; Some 32; Some 64 ])
+  @ (if n.Tune.Fingerprint.depth >= 2 then
+       tri `Interchange "interchange" (fun v (c : Tune.Config.t) ->
+           { c with Tune.Config.interchange = v })
+     else [])
+  @ tri `Fuse "fuse" (fun v (c : Tune.Config.t) ->
+        { c with Tune.Config.fuse = v })
+  @ tri `Vreuse "vreuse" (fun v (c : Tune.Config.t) ->
+        { c with Tune.Config.vreuse = v })
+  @ tri `Doacross_sync "doacross" (fun v (c : Tune.Config.t) ->
+        { c with Tune.Config.doacross = v })
+  @ List.map
+      (fun callee ->
+        {
+          Tune.Search.dim_name = "inline:" ^ callee;
+          values =
+            List.map
+              (fun v (c : Tune.Config.t) ->
+                let rest =
+                  List.remove_assoc callee c.Tune.Config.inline_calls
+                in
+                {
+                  c with
+                  Tune.Config.inline_calls =
+                    (match v with
+                    | None -> rest
+                    | Some b -> List.sort compare ((callee, b) :: rest));
+                })
+              [ None; Some false; Some true ];
+        })
+      (List.sort_uniq compare
+         (List.map snd n.Tune.Fingerprint.calls))
+
 type tune_result = {
   tuned : Profile.Tuned.t;     (* winners only: nests that beat static *)
   tune_stats : Tune.Search.stats;
@@ -588,7 +650,27 @@ let tune ?(options = default_options) ?(config = Titan.Machine.default_config)
     options.catalogs;
   let options = { options with catalogs = [] } in
   let reference = run_interp (Il.Prog.clone base) in
-  let compile_with plan =
+  let simulate p = run_titan ~config ~vreuse:(enabled options `Vreuse) p in
+  let matches (r : Titan.Machine.run_result) =
+    r.Titan.Machine.stdout_text = reference.Il.Interp.stdout_text
+    &&
+    match (r.Titan.Machine.return_value, reference.Il.Interp.return_value) with
+    | Titan.Machine.Vi a, Il.Interp.V_int b -> a = b
+    | Titan.Machine.Vf a, Il.Interp.V_float b -> a = b
+    | _ -> false
+  in
+  (* A candidate's result: its cycles, or [None] when its output is not
+     the reference's. *)
+  let outcome r =
+    if matches r then Some r.Titan.Machine.metrics.Titan.Machine.cycles
+    else None
+  in
+  (* Every compile so far, as the decisions it made and its outcome.  A
+     compile is a function of the decisions its queries resolve to, so a
+     plan that resolves each logged query the same way builds the same
+     program: it takes that outcome without compiling or simulating. *)
+  let compiled = ref [] in
+  let evaluate plan =
     let p = Il.Prog.clone base in
     let opts =
       {
@@ -600,17 +682,11 @@ let tune ?(options = default_options) ?(config = Titan.Machine.default_config)
         verify = `Off;
       }
     in
-    ignore (optimize ~options:opts p);
-    p
-  in
-  let simulate p = run_titan ~config ~vreuse:(enabled options `Vreuse) p in
-  let matches (r : Titan.Machine.run_result) =
-    r.Titan.Machine.stdout_text = reference.Il.Interp.stdout_text
-    &&
-    match (r.Titan.Machine.return_value, reference.Il.Interp.return_value) with
-    | Titan.Machine.Vi a, Il.Interp.V_int b -> a = b
-    | Titan.Machine.Vf a, Il.Interp.V_float b -> a = b
-    | _ -> false
+    let log = Tune.Decide.recorder () in
+    ignore (optimize ~options:opts ~log p);
+    let run = simulate p in
+    compiled := (log, outcome run) :: !compiled;
+    run
   in
   (* scout: the nests as the prefix pipeline shapes them — the same
      point [`Use] replay fingerprints, so winners recorded here match *)
@@ -635,8 +711,7 @@ let tune ?(options = default_options) ?(config = Titan.Machine.default_config)
   in
   if List.length nests > budget then
     say "%d nests found, tuning the %d hottest" (List.length nests) budget;
-  let static_prog = compile_with None in
-  let static_run = simulate static_prog in
+  let static_run = evaluate None in
   let static_cycles = static_run.Titan.Machine.metrics.Titan.Machine.cycles in
   if not (matches static_run) then
     say "static compile disagrees with the interpreter; tuning anyway";
@@ -647,76 +722,19 @@ let tune ?(options = default_options) ?(config = Titan.Machine.default_config)
   let improved = ref 0 in
   List.iter
     (fun (n : Tune.Fingerprint.nest) ->
-      (* a dimension is searched only while its switch is on *)
-      let dim sw dim_name values =
-        if enabled options sw then [ { Tune.Search.dim_name; values } ] else []
+      let dims = tune_dims options n in
+      let plan cfg = Some (Tune.Decide.plan_of ((n, cfg) :: !winners)) in
+      let settle cfg =
+        let plan = plan cfg in
+        List.find_map
+          (fun (log, r) ->
+            if Tune.Decide.same_decisions log plan then Some r else None)
+          !compiled
       in
-      let tri sw dim_name set =
-        dim sw dim_name (List.map set [ None; Some false; Some true ])
-      in
-      let dims =
-        dim `Vectorize "mode"
-          (List.map
-             (fun m (c : Tune.Config.t) -> { c with Tune.Config.mode = m })
-             [
-               None;
-               Some Tune.Config.Scalar;
-               Some Tune.Config.Vector;
-               Some Tune.Config.Parallel;
-             ])
-        @ dim `Vectorize "strip"
-            (List.map
-               (fun v (c : Tune.Config.t) -> { c with Tune.Config.strip = v })
-               [ None; Some 8; Some 16; Some 32; Some 64 ])
-        @ (if n.Tune.Fingerprint.depth >= 2 then
-             tri `Interchange "interchange" (fun v (c : Tune.Config.t) ->
-                 { c with Tune.Config.interchange = v })
-           else [])
-        @ tri `Fuse "fuse" (fun v (c : Tune.Config.t) ->
-              { c with Tune.Config.fuse = v })
-        @ tri `Vreuse "vreuse" (fun v (c : Tune.Config.t) ->
-              { c with Tune.Config.vreuse = v })
-        @ tri `Doacross_sync "doacross" (fun v (c : Tune.Config.t) ->
-              { c with Tune.Config.doacross = v })
-        @ List.map
-            (fun callee ->
-              {
-                Tune.Search.dim_name = "inline:" ^ callee;
-                values =
-                  List.map
-                    (fun v (c : Tune.Config.t) ->
-                      let rest =
-                        List.remove_assoc callee c.Tune.Config.inline_calls
-                      in
-                      {
-                        c with
-                        Tune.Config.inline_calls =
-                          (match v with
-                          | None -> rest
-                          | Some b -> List.sort compare ((callee, b) :: rest));
-                      })
-                    [ None; Some false; Some true ];
-              })
-            (List.sort_uniq compare
-               (List.map snd n.Tune.Fingerprint.calls))
-      in
-      (* a loop pinned scalar gets nothing from a strip length or from
-         vector-register reuse: skip those points without simulating *)
-      let prune (cfg : Tune.Config.t) =
-        cfg.Tune.Config.mode = Some Tune.Config.Scalar
-        && (cfg.Tune.Config.strip <> None
-           || cfg.Tune.Config.vreuse = Some true)
-      in
-      let eval (cfg : Tune.Config.t) =
-        let plan = Tune.Decide.plan_of ((n, cfg) :: !winners) in
-        let p = compile_with (Some plan) in
-        let r = simulate p in
-        if matches r then Some r.Titan.Machine.metrics.Titan.Machine.cycles
-        else None
-      in
+      let eval cfg = outcome (evaluate (plan cfg)) in
       match
-        Tune.Search.search ~stats ~prune ~dims ~eval ~init:Tune.Config.default
-          ~init_cycles:!current ()
+        Tune.Search.search ~stats ~settle ~dims ~eval
+          ~init:Tune.Config.default ~init_cycles:!current ()
       with
       | None ->
           say "nest at %s (fp %s..): static stays best at %d cycles"

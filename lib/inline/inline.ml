@@ -273,52 +273,58 @@ let rec expand_in_function (decide : Decide.t) ~eligible ~pointsto
             (plan_sites decide ~pointsto ~max_callee_stmts stats prog caller
                ~eligible)
     in
-    let pinned (s : Stmt.t) =
-      Decide.override decide Decide.Inline s.Stmt.loc
-    in
-    let site_selected (s : Stmt.t) =
-      match pinned s with
-      | Some v -> v
-      | None -> (
-          match plan with
-          | None -> true
-          | Some verdicts -> (
-              match Hashtbl.find_opt verdicts s.Stmt.id with
-              | Some (Cold_site | Budget_site) -> false
-              | Some Inline_site | None -> true))
+    (* The fate of an eligible call site, given the plan's answer: the
+       first reason to keep the call, in the order they are checked, or
+       [`Expand]. *)
+    let verdict (s : Stmt.t) name nargs =
+      let planned =
+        match plan with
+        | None -> true
+        | Some verdicts -> (
+            match Hashtbl.find_opt verdicts s.Stmt.id with
+            | Some (Cold_site | Budget_site) -> false
+            | Some Inline_site | None -> true)
+      in
+      let callee = Prog.find_func prog name in
+      let known = callee <> None in
+      let recursive = List.mem name stack || List.length stack >= max_depth in
+      let too_big, arity_ok =
+        match callee with
+        | Some c ->
+            ( func_size c > max_callee_stmts,
+              nargs = List.length c.Func.params )
+        | None -> (false, false)
+      in
+      Decide.override decide (Decide.Inline s.Stmt.loc) (fun pinned ->
+          if not (Option.value pinned ~default:planned) then `Unselected
+          else if not known then `Unknown
+          else if recursive then `Recursive
+          else if pinned <> Some true && too_big then `Too_big
+          else if not arity_ok then `Arity_mismatch
+          else `Expand)
     in
     let replace (s : Stmt.t) : Stmt.t list =
       match s.Stmt.desc with
-      | Stmt.Call (dst, Stmt.Direct name, args)
-        when eligible name && site_selected s -> (
-          match Prog.find_func prog name with
-          | None ->
+      | Stmt.Call (dst, Stmt.Direct name, args) when eligible name -> (
+          match verdict s name (List.length args) with
+          | `Unselected | `Arity_mismatch -> [ s ]
+          | `Unknown ->
               stats.calls_skipped_unknown <- stats.calls_skipped_unknown + 1;
               [ s ]
-          | Some callee ->
-              if List.mem name stack || List.length stack >= max_depth
-              then begin
-                stats.calls_skipped_recursive <-
-                  stats.calls_skipped_recursive + 1;
-                [ s ]
-              end
-              else if
-                pinned s <> Some true
-                && func_size callee > max_callee_stmts
-              then begin
-                stats.calls_skipped_size <- stats.calls_skipped_size + 1;
-                [ s ]
-              end
-              else if List.length args <> List.length callee.Func.params then
-                [ s ]  (* arity mismatch: leave the call alone *)
-              else begin
-                (* make sure the callee itself is fully expanded first *)
-                expand_in_function decide ~eligible ~pointsto
-                  ~max_callee_stmts stats prog callee ~stack:(name :: stack)
-                  ~done_set;
-                stats.calls_inlined <- stats.calls_inlined + 1;
-                expand_call prog caller callee dst args
-              end)
+          | `Recursive ->
+              stats.calls_skipped_recursive <-
+                stats.calls_skipped_recursive + 1;
+              [ s ]
+          | `Too_big ->
+              stats.calls_skipped_size <- stats.calls_skipped_size + 1;
+              [ s ]
+          | `Expand ->
+              let callee = Option.get (Prog.find_func prog name) in
+              (* make sure the callee itself is fully expanded first *)
+              expand_in_function decide ~eligible ~pointsto ~max_callee_stmts
+                stats prog callee ~stack:(name :: stack) ~done_set;
+              stats.calls_inlined <- stats.calls_inlined + 1;
+              expand_call prog caller callee dst args)
       | _ -> [ s ]
     in
     caller.Func.body <- Stmt.map_list replace caller.Func.body

@@ -415,7 +415,11 @@ let process_do (decide : Decide.t) ?range stats prog (func : Func.t)
     Stmt.t option =
   let body = d.Stmt.body in
   let n = List.length body in
-  let tuned = Decide.override decide Decide.Doacross s.Stmt.loc in
+  (* the plan is asked twice: whether it pins the loop serial before
+     any analysis, and, once the pipeline is priced, whether the loop
+     is pipelined *)
+  let query = Decide.Doacross s.Stmt.loc in
+  let pinned_serial = Decide.override decide query (( = ) (Some false)) in
   let why fmt =
     Format.kasprintf
       (fun msg ->
@@ -434,7 +438,7 @@ let process_do (decide : Decide.t) ?range stats prog (func : Func.t)
         match st.Stmt.desc with Stmt.Assign _ | Stmt.Nop -> true | _ -> false)
       body
   in
-  if tuned = Some false then None  (* autotuner pinned this loop serial *)
+  if pinned_serial then None  (* autotuner pinned this loop serial *)
   else if n = 0 || not straight then begin
     stats.rejected_shape <- stats.rejected_shape + 1;
     None
@@ -623,7 +627,12 @@ let process_do (decide : Decide.t) ?range stats prog (func : Func.t)
               let pipelined =
                 Cost.doacross_loop_cycles ~sched shape ~trips ~procs dedges
               in
-              if tuned <> Some true && pipelined >= serial then begin
+              let pipeline =
+                Decide.override decide query (function
+                  | Some pin -> pin
+                  | None -> pipelined < serial)
+              in
+              if not pipeline then begin
                 stats.do_rejected_cost <- stats.do_rejected_cost + 1;
                 why
                   "pipeline model prefers serial (est doacross=%d serial=%d \

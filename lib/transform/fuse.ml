@@ -322,18 +322,12 @@ let run ?(stats = new_stats ()) (decide : Decide.t) (prog : Prog.t)
                       fused_cost_report decide ~shape1 ~shape2
                         ~trips:cost_trips ~v1 ~v2 ~vf
                     in
-                    let tuned =
-                      let f = Decide.override decide Decide.Fuse in
-                      match (f s1.Stmt.loc, f s2.Stmt.loc) with
-                      | Some false, _ | _, Some false -> Some false
-                      | Some true, _ | _, Some true -> Some true
-                      | None, None -> None
-                    in
                     let keep_separate =
-                      match tuned with
-                      | Some false -> true
-                      | Some true -> false
-                      | None -> cf >= c1 + c2
+                      Decide.override decide
+                        (Decide.Fuse (s1.Stmt.loc, s2.Stmt.loc))
+                        (function
+                          | Some fuse -> not fuse
+                          | None -> cf >= c1 + c2)
                     in
                     if keep_separate then begin
                       stats.rejected_cost <- stats.rejected_cost + 1;

@@ -147,11 +147,12 @@ let run ?(stats = new_stats ()) (decide : Decide.t) (prog : Prog.t)
             (fun (bc, bp) (c, p) -> if c < bc then (c, p) else (bc, bp))
             (id_cost, id_perm) scored
         in
+        let reorders = best <> id_perm in
         let interchange =
-          match Decide.override decide Decide.Interchange s.Stmt.loc with
-          | Some false -> false
-          | Some true -> best <> id_perm && best_cost <= id_cost
-          | None -> best <> id_perm && best_cost < id_cost
+          Decide.override decide (Decide.Interchange s.Stmt.loc) (function
+            | Some false -> false
+            | Some true -> reorders && best_cost <= id_cost
+            | None -> reorders && best_cost < id_cost)
         in
         (match decide.Decide.report with
         | Some report ->

@@ -866,8 +866,9 @@ let run ?(stats = new_stats ()) (decide : Decide.t) (prog : Prog.t)
     | Stmt.Do_loop d -> (
         let d = { d with Stmt.body = walk d.Stmt.body } in
         let s = { s with Stmt.desc = Stmt.Do_loop d } in
-        if Decide.override decide Decide.Vreuse s.Stmt.loc = Some false then
-          [ s ]
+        if
+          Decide.override decide (Decide.Vreuse s.Stmt.loc) (( = ) (Some false))
+        then [ s ]
         else
           match try_strip_residency env s d with
           | Some stmts -> stmts

@@ -40,41 +40,73 @@ let plan_of pairs =
     { nests = []; calls = [] }
     pairs
 
+(* What the plan can pin: one query per cost-gated choice, asked at a
+   loop header (an [Inline] query: at a call site). *)
+type _ query =
+  | Vector : Loc.t -> (Config.mode option * int option) query
+  | Interchange : Loc.t -> bool option query
+  | Fuse : Loc.t * Loc.t -> bool option query
+  | Vreuse : Loc.t -> bool option query
+  | Doacross : Loc.t -> bool option query
+  | Inline : Loc.t -> bool option query
+
+(* One answered query: the query, the resolver that turned the plan's
+   answer into the decision the pass acted on, and that decision. *)
+type entry = Entry : 'a query * ('a -> 'b) * 'b -> entry
+
+type log = entry list ref
+
 type t = {
   switches : switch list;
   assume_noalias : bool;
   vlen : int;
   profile : Profile.Data.t option;
   plan : plan option;
+  log : log option;
   report : (string -> unit) option;
   why_scalar : (string -> unit) option;
 }
 
 let on t sw = List.mem sw t.switches
 
-type _ knob =
-  | Mode : Config.mode knob
-  | Strip : int knob
-  | Interchange : bool knob
-  | Fuse : bool knob
-  | Vreuse : bool knob
-  | Doacross : bool knob
-  | Inline : bool knob
+let answer_of : type a. plan option -> a query -> a =
+ fun plan q ->
+  let nest loc get =
+    match plan with
+    | None -> None
+    | Some p -> Option.bind (List.assoc_opt loc p.nests) get
+  in
+  match q with
+  | Vector loc ->
+      (nest loc (fun c -> c.Config.mode), nest loc (fun c -> c.Config.strip))
+  | Interchange loc -> nest loc (fun c -> c.Config.interchange)
+  | Fuse (l1, l2) -> (
+      let f l = nest l (fun c -> c.Config.fuse) in
+      match (f l1, f l2) with
+      | Some false, _ | _, Some false -> Some false
+      | Some true, _ | _, Some true -> Some true
+      | None, None -> None)
+  | Vreuse loc -> nest loc (fun c -> c.Config.vreuse)
+  | Doacross loc -> nest loc (fun c -> c.Config.doacross)
+  | Inline loc -> Option.bind plan (fun p -> List.assoc_opt loc p.calls)
 
-let override : type a. t -> a knob -> Loc.t -> a option =
- fun t knob loc ->
-  match t.plan with
-  | None -> None
-  | Some p -> (
-      let nest get = Option.bind (List.assoc_opt loc p.nests) get in
-      match knob with
-      | Mode -> nest (fun c -> c.Config.mode)
-      | Strip -> nest (fun c -> c.Config.strip)
-      | Interchange -> nest (fun c -> c.Config.interchange)
-      | Fuse -> nest (fun c -> c.Config.fuse)
-      | Vreuse -> nest (fun c -> c.Config.vreuse)
-      | Doacross -> nest (fun c -> c.Config.doacross)
-      | Inline -> List.assoc_opt loc p.calls)
+let answer t q = answer_of t.plan q
+
+let override t q resolve =
+  let decision = resolve (answer t q) in
+  Option.iter (fun log -> log := Entry (q, resolve, decision) :: !log) t.log;
+  decision
+
+let recorder () : log = ref []
+
+(* The compile that filled [log] asked its queries in an order its own
+   decisions fixed.  A compile under [plan] whose resolvers agree at
+   every one of them acts identically at each, so by induction over the
+   pipeline it asks the same queries and builds the same program. *)
+let same_decisions (log : log) plan =
+  List.for_all
+    (fun (Entry (q, resolve, decision)) -> resolve (answer_of plan q) = decision)
+    !log
 
 let measured t loc =
   match t.profile with

@@ -13,13 +13,14 @@
        all-tied space returns [None] (= keep the untuned compile);
      - every evaluated configuration is memoized by its canonical field
        list, so re-visiting a point during a later sweep is free;
-     - an optional [prune] predicate (cost-model pricing) skips
-       candidates that cannot plausibly win, and the stats record how
-       many evaluations it saved. *)
+     - an optional [settle] function answers candidates whose result is
+       already known without evaluating them (the core library: a
+       candidate that makes the same decisions as an earlier compile),
+       and the stats record how many evaluations it saved. *)
 
 type stats = {
   mutable evaluated : int;      (* eval calls that actually ran *)
-  mutable pruned : int;         (* candidates skipped by [prune] *)
+  mutable pruned : int;         (* candidates answered by [settle] *)
   mutable rejected : int;       (* evals that returned None (illegal /
                                    output mismatch) *)
   mutable sim_seconds : float;  (* wall time inside [eval] *)
@@ -39,7 +40,7 @@ type dim = {
    budget that is real simulator time. *)
 let max_sweeps = 2
 
-let search ?(stats = new_stats ()) ?prune ~(dims : dim list)
+let search ?(stats = new_stats ()) ?(settle = fun _ -> None) ~(dims : dim list)
     ~(eval : Config.t -> int option) ~(init : Config.t) ~(init_cycles : int)
     () : (Config.t * int) option =
   let memo = Hashtbl.create 32 in
@@ -49,11 +50,11 @@ let search ?(stats = new_stats ()) ?prune ~(dims : dim list)
     | Some r -> r
     | None ->
         let r =
-          match prune with
-          | Some p when p cfg ->
+          match settle cfg with
+          | Some r ->
               stats.pruned <- stats.pruned + 1;
-              None
-          | _ ->
+              r
+          | None ->
               let t0 = Unix.gettimeofday () in
               let r = eval cfg in
               stats.sim_seconds <-

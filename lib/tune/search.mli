@@ -7,7 +7,7 @@
 
 type stats = {
   mutable evaluated : int;      (** eval calls that actually ran *)
-  mutable pruned : int;         (** candidates skipped by [prune] *)
+  mutable pruned : int;         (** candidates answered by [settle] *)
   mutable rejected : int;       (** evals returning [None] *)
   mutable sim_seconds : float;  (** wall time spent inside [eval] *)
 }
@@ -22,10 +22,11 @@ type dim = { dim_name : string; values : (Config.t -> Config.t) list }
     configuration strictly cheaper than [init_cycles], or [None] when
     nothing beats the static default.  [eval] returns [None] for
     candidates that must be discarded (illegal, or output differed from
-    the reference).  [prune cfg = true] skips evaluation entirely. *)
+    the reference).  [settle cfg = Some r] answers [r] without
+    evaluating: a result known already (default: none is). *)
 val search :
   ?stats:stats ->
-  ?prune:(Config.t -> bool) ->
+  ?settle:(Config.t -> int option option) ->
   dims:dim list ->
   eval:(Config.t -> int option) ->
   init:Config.t ->

@@ -33,8 +33,8 @@ type range_facts = {
       (* is the expression provably a multiple of the divisor? *)
 }
 
-(* What to do with one loop, resolved ahead of the static policy — the
-   shape both the profile (PGO) and the autotuner speak. *)
+(* What to do with one loop: the static policy's answer, or the one the
+   profile (PGO) or the autotuner resolves ahead of it. *)
 type pgo_choice = {
   keep_scalar : bool;      (* below break-even: leave the DO loop alone *)
   strip_parallel : bool;   (* spread vector strips over processors *)
@@ -223,14 +223,15 @@ let residency_candidates ~noalias (body : Stmt.t list) : int =
       | _ -> acc)
     0 body
 
-(* Consult the measured mean trip count against the Titan cost model.
+(* Consult the measured mean trip count against the Titan cost model,
+   returning the choice and, when a report sink is set, its report line.
    Absent data (no key, never measured) returns [None]: the static
    policy applies unchanged, which keeps compilation with an empty
    profile byte-identical to compilation without one.  A loop measured
    cold (entered zero times) also returns [None] — there is nothing to
    win there either way. *)
 let pgo_decide (decide : Decide.t) (loop_stmt : Stmt.t) (body : Stmt.t list) :
-    pgo_choice option =
+    (pgo_choice * string option) option =
   match Decide.measured decide loop_stmt.Stmt.loc with
   | None -> None
   | Some (key, lp) -> (
@@ -297,55 +298,67 @@ let pgo_decide (decide : Decide.t) (loop_stmt : Stmt.t) (body : Stmt.t list) :
               | Some (v, p) -> (v, p)
               | None -> (base_vlen, false)
           in
-          (match decide.Decide.report with
-          | Some report ->
-              let be =
-                Cost.vector_break_even ~sched shape ~vlen:base_vlen ~procs
-                  ~parallelize
-              in
-              report
-                (Printf.sprintf
-                   "loop %s: measured trips≈%d (%d entries): est scalar=%d \
-                    vector=%d%s (strip %d%s) break-even=%s -> %s"
-                   (Profile.Key.to_string key)
-                   trips lp.Profile.Data.entries scalar
-                   (if vcost = max_int then -1 else vcost)
-                   (if rcost = max_int then ""
-                    else Printf.sprintf " reuse=%d" rcost)
-                   chosen_vlen
-                   (if strip_parallel then
-                      Printf.sprintf " x%d procs" procs
-                    else " serial")
-                   (match be with
-                   | Some b -> string_of_int b
-                   | None -> "never")
-                   (if keep_scalar then "scalar"
-                    else if strip_parallel then "vector do-parallel"
-                    else "vector serial"))
-          | None -> ());
-          Some { keep_scalar; strip_parallel; scalar_parallel; chosen_vlen })
+          let line () =
+            let be =
+              Cost.vector_break_even ~sched shape ~vlen:base_vlen ~procs
+                ~parallelize
+            in
+            Printf.sprintf
+              "loop %s: measured trips≈%d (%d entries): est scalar=%d \
+               vector=%d%s (strip %d%s) break-even=%s -> %s"
+              (Profile.Key.to_string key)
+              trips lp.Profile.Data.entries scalar
+              (if vcost = max_int then -1 else vcost)
+              (if rcost = max_int then ""
+               else Printf.sprintf " reuse=%d" rcost)
+              chosen_vlen
+              (if strip_parallel then Printf.sprintf " x%d procs" procs
+               else " serial")
+              (match be with Some b -> string_of_int b | None -> "never")
+              (if keep_scalar then "scalar"
+               else if strip_parallel then "vector do-parallel"
+               else "vector serial")
+          in
+          Some
+            ( { keep_scalar; strip_parallel; scalar_parallel; chosen_vlen },
+              Option.map (fun _ -> line ()) decide.Decide.report ))
 
-(* A tuned nest's treatment, ahead of the profile and the static
-   policy: a mode pins scalar, serial-strip or parallel-strip code, and a
-   strip length alone keeps the static parallel choice. *)
-let tuned_choice (decide : Decide.t) (loop_stmt : Stmt.t) =
-  let loc = loop_stmt.Stmt.loc in
-  let strip = Decide.override decide Decide.Strip loc in
-  let choice keep par =
-    Some
-      {
-        keep_scalar = keep;
-        strip_parallel = par;
-        scalar_parallel = par;
-        chosen_vlen = Option.value strip ~default:decide.Decide.vlen;
-      }
+(* The treatment the pass acts on, given the plan's answer: a mode pins
+   scalar, serial-strip or parallel-strip code, a strip length alone
+   keeps the static parallel choice, and no answer keeps [static] (the
+   profile's choice, else the static policy).  Fields the code generated
+   for it never reads are normalized away, so answers that build the
+   same loop resolve to equal choices. *)
+let resolve_choice ~vlen ~parallelize ~static (mode, strip) =
+  let pinned keep par =
+    {
+      keep_scalar = keep;
+      strip_parallel = par;
+      scalar_parallel = par;
+      chosen_vlen = Option.value strip ~default:vlen;
+    }
   in
-  match (Decide.override decide Decide.Mode loc, strip) with
-  | Some Config.Scalar, _ -> choice true false
-  | Some Config.Vector, _ -> choice false false
-  | Some Config.Parallel, _ -> choice false true
-  | None, Some _ -> choice false (Decide.on decide `Parallelize)
-  | None, None -> None
+  let c =
+    match (mode, strip) with
+    | Some Config.Scalar, _ -> pinned true false
+    | Some Config.Vector, _ -> pinned false false
+    | Some Config.Parallel, _ -> pinned false true
+    | None, Some _ -> pinned false parallelize
+    | None, None -> static
+  in
+  if c.keep_scalar then
+    {
+      keep_scalar = true;
+      strip_parallel = false;
+      scalar_parallel = false;
+      chosen_vlen = 0;
+    }
+  else
+    {
+      c with
+      strip_parallel = parallelize && c.strip_parallel;
+      scalar_parallel = parallelize && c.scalar_parallel;
+    }
 
 let process_loop (decide : Decide.t) ?range stats prog (func : Func.t)
     (live : Vpc_analysis.Liveness.t) (loop_stmt : Stmt.t) (d : Stmt.do_loop) :
@@ -372,14 +385,29 @@ let process_loop (decide : Decide.t) ?range stats prog (func : Func.t)
   (* a tuned per-nest override pins the treatment outright; otherwise
      measured trip counts, when a profile has them for this loop *)
   let parallelize = Decide.on decide `Parallelize in
-  let tuned = tuned_choice decide loop_stmt in
-  let pgo =
-    match tuned with
-    | Some _ -> tuned
-    | None -> pgo_decide decide loop_stmt d.body
+  let query = Decide.Vector loop_stmt.Stmt.loc in
+  let tuned = Decide.answer decide query <> (None, None) in
+  let pgo = pgo_decide decide loop_stmt d.body in
+  let choice =
+    let static =
+      match pgo with
+      | Some (c, _) -> c
+      | None ->
+          {
+            keep_scalar = false;
+            strip_parallel = true;
+            scalar_parallel = true;
+            chosen_vlen = decide.Decide.vlen;
+          }
+    in
+    Decide.override decide query
+      (resolve_choice ~vlen:decide.Decide.vlen ~parallelize ~static)
   in
-  match pgo with
-  | Some { keep_scalar = true; _ } ->
+  (match (pgo, decide.Decide.report) with
+  | Some (_, Some line), Some report when not tuned -> report line
+  | _ -> ());
+  match choice with
+  | { keep_scalar = true; _ } ->
       stats.pgo_scalar_loops <- stats.pgo_scalar_loops + 1;
       (match decide.Decide.why_scalar with
       | Some say ->
@@ -389,20 +417,13 @@ let process_loop (decide : Decide.t) ?range stats prog (func : Func.t)
                 break-even"
                func.Func.name
                (Vpc_support.Loc.to_string loop_stmt.Stmt.loc)
-               (if tuned <> None then "the tuned configuration"
-                else "profile"))
+               (if tuned then "the tuned configuration" else "profile"))
       | None -> ());
       None  (* below break-even: the serial DO loop is the fast version *)
   | _ ->
-  let strip_vlen =
-    match pgo with Some c -> c.chosen_vlen | None -> decide.Decide.vlen
-  in
-  let strip_par_ok =
-    match pgo with Some c -> c.strip_parallel | None -> true
-  in
-  let scalar_par_ok =
-    match pgo with Some c -> c.scalar_parallel | None -> true
-  in
+  let strip_vlen = choice.chosen_vlen in
+  let strip_par_ok = choice.strip_parallel in
+  let scalar_par_ok = choice.scalar_parallel in
   let assume_noalias = decide.Decide.assume_noalias || d.independent in
   let pp_e0 ppf e = Pp.pp_expr { Pp.prog; Pp.func = Some func } ppf e in
   (* distances the range analysis could not bound, for --why-scalar *)

@@ -357,6 +357,15 @@ let test_served_bytes_identical () =
       ("graphics.c", read_example "graphics.c");
     ]
 
+(* An in-process request with a strip length below 1 (one that never
+   went through [copts_of_sexp]) is refused with [Invalid_argument], not
+   a division by zero deep in a pass. *)
+let test_vlen_below_one () =
+  let bad = req ~opts:{ S.default_copts with S.vlen = 0 } (chain_src ()) in
+  match S.compile (C.create ()) bad with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "Service.compile served a vlen-0 request"
+
 let test_comment_edit_hits () =
   let cache = C.create () in
   ignore (S.compile cache (req (chain_src ())));
@@ -512,6 +521,8 @@ let tests =
       test_served_bytes_identical;
     Alcotest.test_case "service: comment edit hits" `Quick
       test_comment_edit_hits;
+    Alcotest.test_case "service: vlen below 1 refused" `Quick
+      test_vlen_below_one;
     Alcotest.test_case "service: batch matches sequential" `Quick
       test_batch_matches_sequential;
     Alcotest.test_case "pointsto: worklist equals naive" `Quick

@@ -378,6 +378,106 @@ let overrides_reach_passes () =
            tuned))
     (override_rows ())
 
+(* The example programs, by file name. *)
+let example_files () =
+  Sys.readdir "../examples" |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".c")
+  |> List.sort compare
+
+(* ---- a recorded decision log predicts the compile ----
+
+   [Vpc.tune] takes an earlier compile's result for a candidate whose
+   plan resolves every query that compile logged to the same decision.
+   That is sound only if each pass's resolver is complete: the IL may
+   depend on the plan's answer only through the decision.  Compile every
+   single-knob configuration the search visits, on every scout nest of
+   every example; whenever one compile's log calls another plan
+   equivalent, the two must print the same IL. *)
+let decision_logs_predict_il () =
+  let equivalent = ref 0 in
+  List.iter
+    (fun file ->
+      let src = Helpers.read_file (Filename.concat "../examples" file) in
+      let candidates =
+        ("static", None)
+        :: List.concat_map
+             (fun (n : Tune.Fingerprint.nest) ->
+               List.concat_map
+                 (fun (d : Tune.Search.dim) ->
+                   List.filter_map
+                     (fun set ->
+                       let cfg = set Tune.Config.default in
+                       if Tune.Config.equal cfg Tune.Config.default then None
+                       else
+                         Some
+                           ( Printf.sprintf "%s %s"
+                               (Vpc.Support.Loc.to_string n.Tune.Fingerprint.loc)
+                               (Tune.Config.to_string cfg),
+                             Some (Tune.Decide.plan_of [ (n, cfg) ]) ))
+                     d.Tune.Search.values)
+                 (Vpc.tune_dims Vpc.o3 n))
+             (nests_of src)
+      in
+      let compiled =
+        List.map
+          (fun (name, plan) ->
+            let log = Tune.Decide.recorder () in
+            let prog = Vpc.parse src in
+            let tune = match plan with None -> `Off | Some p -> `Plan p in
+            ignore (Vpc.optimize ~options:{ Vpc.o3 with Vpc.tune } ~log prog);
+            (name, plan, log, Vpc.Il.Pp.prog_to_string prog))
+          candidates
+      in
+      List.iter
+        (fun (name, _, log, il) ->
+          List.iter
+            (fun (name', plan', _, il') ->
+              if name <> name' && Tune.Decide.same_decisions log plan' then begin
+                incr equivalent;
+                if il <> il' then
+                  Alcotest.failf
+                    "%s: the log of [%s] calls [%s] equivalent, but their IL \
+                     differs"
+                    file name name'
+              end)
+            compiled)
+        compiled)
+    (example_files ());
+  if !equivalent = 0 then Alcotest.fail "no two candidates were equivalent"
+
+(* ---- golden tune table ----
+
+   Every example except device_poll (it busy-waits on a device
+   register), searched as [titancc -O 3 -p N --tune] does at 1 and 4
+   processors: the saved store text, the static and tuned cycles, and
+   the nests considered and improved.  test/fixtures/tune_golden.txt
+   was recorded before the search learned to skip candidates whose
+   decisions an earlier compile already made, so any drift is a change
+   in what tuning finds, never a speed-up. *)
+let tune_golden_rows () =
+  example_files ()
+  |> List.filter (fun f -> f <> "device_poll.c")
+  |> List.concat_map (fun file ->
+         let src = Helpers.read_file (Filename.concat "../examples" file) in
+         List.map
+           (fun procs ->
+             let tr =
+               Vpc.tune ~options:Vpc.o3
+                 ~config:{ Vpc.Titan.Machine.default_config with procs }
+                 src
+             in
+             Printf.sprintf
+               "%s p%d static=%d tuned=%d considered=%d improved=%d store=%s"
+               (Filename.chop_suffix file ".c")
+               procs tr.Vpc.static_cycles tr.Vpc.tuned_cycles
+               tr.Vpc.nests_considered tr.Vpc.nests_improved
+               (String.escaped (Tuned.to_string tr.Vpc.tuned)))
+           [ 1; 4 ])
+
+let tune_golden () =
+  Helpers.check_golden ~path:"fixtures/tune_golden.txt"
+    ~actual:"tune_golden.actual" (tune_golden_rows ())
+
 let tests =
   [
     Alcotest.test_case "config: codec round-trip" `Quick codec_round_trip;
@@ -395,4 +495,8 @@ let tests =
       `Quick search_and_replay;
     Alcotest.test_case "overrides: every override reaches its pass" `Quick
       overrides_reach_passes;
+    Alcotest.test_case "golden table: tune stores and cycles" `Quick
+      tune_golden;
+    Alcotest.test_case "replay: a recorded decision log predicts identical IL"
+      `Quick decision_logs_predict_il;
   ]

@@ -513,6 +513,29 @@ let cli_vlen_below_one () =
     (run_cli
        [ "../examples/matmul.c"; "--vlen=-4"; "-p"; "4"; "--check"; "-q" ])
 
+(* The library refuses a strip length below 1 where it builds the
+   decision context, with a clear error rather than a division by zero
+   deep in a pass. *)
+let library_vlen_below_one () =
+  let src = Helpers.read_file "../examples/matmul.c" in
+  List.iter
+    (fun (what, f) ->
+      match f () with
+      | exception Invalid_argument _ -> ()
+      | exception e ->
+          Alcotest.failf "%s: raised %s, not Invalid_argument" what
+            (Printexc.to_string e)
+      | () -> Alcotest.failf "%s accepted vlen 0" what)
+    [
+      ( "compile_and_simulate",
+        fun () ->
+          ignore
+            (Vpc.compile_and_simulate ~options:{ Vpc.o3 with Vpc.vlen = 0 } src)
+      );
+      ( "tune",
+        fun () -> ignore (Vpc.tune ~options:{ Vpc.o3 with Vpc.vlen = -4 } src) );
+    ]
+
 let tests =
   [
     Alcotest.test_case "examples verify at every stage" `Slow examples_verify;
@@ -539,6 +562,8 @@ let tests =
     Alcotest.test_case "titancc unreachable exit" `Quick cli_unreachable_exit;
     Alcotest.test_case "titancc rejects a strip length below 1" `Quick
       cli_vlen_below_one;
+    Alcotest.test_case "library rejects a strip length below 1" `Quick
+      library_vlen_below_one;
     Alcotest.test_case "titancc range-proved parallel loop verifies" `Quick
       cli_symbolic_no_vectorize;
   ]
