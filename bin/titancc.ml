@@ -224,20 +224,11 @@ let run_compiler file opt_level inline_only disabled lint why_scalar
         Vpc.Inline.Catalog.save prog path;
         if not quiet then Printf.printf "catalog saved to %s\n" path
     | None -> ());
-    if dump_asm then begin
-      let layout = Vpc.Titan.Machine.layout_globals prog in
-      let tprog =
-        Vpc.Titan.Codegen.gen_program prog ~global_addr:(fun id ->
-            Hashtbl.find layout.Vpc.Titan.Machine.addr_of id)
-      in
-      (* name-sorted so the listing is deterministic and matches the
-         assembly served from the compile daemon's cache *)
-      Hashtbl.fold (fun name f acc -> (name, f) :: acc)
-        tprog.Vpc.Titan.Isa.funcs []
-      |> List.sort (fun (a, _) (b, _) -> compare a b)
-      |> List.iter (fun (_, f) ->
-             Format.printf "%a@." Vpc.Titan.Isa.pp_func f)
-    end;
+    (* the same listing the compile daemon serves *)
+    if dump_asm then
+      List.iter
+        (fun (_, text) -> print_string text)
+        (Vpc_server.Service.asm_texts prog);
     if no_run then exit 0;
     let result = Vpc.run_titan ~config ~vreuse:(Vpc.enabled options `Vreuse) prog in
     print_string result.Vpc.Titan.Machine.stdout_text;
@@ -246,20 +237,35 @@ let run_compiler file opt_level inline_only disabled lint why_scalar
          reference: catches miscompiles that hit the interpreter and the
          simulator identically (both run the same optimized IL) *)
       let ref_prog, _ = Vpc.compile ~options:Vpc.o0 ~file src in
-      let ref_out = (Vpc.run_interp ref_prog).Vpc.Il.Interp.stdout_text in
-      let opt_out = (Vpc.run_interp prog).Vpc.Il.Interp.stdout_text in
-      if opt_out <> ref_out then begin
+      let reference = Vpc.run_interp ref_prog in
+      let opt = Vpc.run_interp prog in
+      (* stdout, then the return value *)
+      let shown out ret = Printf.sprintf "%s(return %s)\n" out ret in
+      let interp (r : Vpc.Il.Interp.result) =
+        shown r.stdout_text
+          (match r.return_value with
+          | Vpc.Il.Interp.V_int n -> string_of_int n
+          | Vpc.Il.Interp.V_float x -> string_of_float x)
+      in
+      if
+        opt.stdout_text <> reference.stdout_text
+        || opt.return_value <> reference.return_value
+      then begin
         Printf.eprintf
           "CHECK FAILED: optimized IL diverges from the -O0 reference\n\
            --- reference (-O0 interp) ---\n%s--- optimized (interp) ---\n%s"
-          ref_out opt_out;
+          (interp reference) (interp opt);
         exit 2
       end
-      else if result.stdout_text <> ref_out then begin
+      else if not (Vpc.matches_reference reference result) then begin
         Printf.eprintf
           "CHECK FAILED: simulator output diverges from the -O0 reference\n\
            --- reference (-O0 interp) ---\n%s--- simulator ---\n%s"
-          ref_out result.stdout_text;
+          (interp reference)
+          (shown result.stdout_text
+             (match result.return_value with
+             | Vpc.Titan.Machine.Vi n -> string_of_int n
+             | Vpc.Titan.Machine.Vf x -> string_of_float x));
         exit 2
       end
       else if not quiet then

@@ -532,6 +532,18 @@ let run_interp ?max_steps ?entry ?args prog =
 let run_titan ?config ?entry ?args ?vreuse prog =
   Titan.Machine.run ?config ?entry ?args ?vreuse prog
 
+(* The differential check of --check and of tuning: a simulated run
+   agrees with the reference interpretation when it prints the same
+   text and returns the same value. *)
+let matches_reference (reference : Il.Interp.result)
+    (r : Titan.Machine.run_result) =
+  r.Titan.Machine.stdout_text = reference.Il.Interp.stdout_text
+  &&
+  match (r.Titan.Machine.return_value, reference.Il.Interp.return_value) with
+  | Titan.Machine.Vi a, Il.Interp.V_int b -> a = b
+  | Titan.Machine.Vf a, Il.Interp.V_float b -> a = b
+  | _ -> false
+
 (* Convenience: compile under [options], simulate under [config]. *)
 let compile_and_simulate ?(options = default_options)
     ?(config = Titan.Machine.default_config) src =
@@ -651,14 +663,7 @@ let tune ?(options = default_options) ?(config = Titan.Machine.default_config)
   let options = { options with catalogs = [] } in
   let reference = run_interp (Il.Prog.clone base) in
   let simulate p = run_titan ~config ~vreuse:(enabled options `Vreuse) p in
-  let matches (r : Titan.Machine.run_result) =
-    r.Titan.Machine.stdout_text = reference.Il.Interp.stdout_text
-    &&
-    match (r.Titan.Machine.return_value, reference.Il.Interp.return_value) with
-    | Titan.Machine.Vi a, Il.Interp.V_int b -> a = b
-    | Titan.Machine.Vf a, Il.Interp.V_float b -> a = b
-    | _ -> false
-  in
+  let matches = matches_reference reference in
   (* A candidate's result: its cycles, or [None] when its output is not
      the reference's. *)
   let outcome r =

@@ -155,19 +155,23 @@ let unop_of_string = function
   | "~" -> Bitnot
   | s -> raise (Sexp.Parse_error ("unknown unop " ^ s))
 
-let rec to_sexp e =
+let to_sexp ?name e =
   let open Sexp in
-  match e.desc with
-  | Const_int n -> list [ atom "ci"; int n; Ty.to_sexp e.ty ]
-  | Const_float f -> list [ atom "cf"; float f; Ty.to_sexp e.ty ]
-  | Var id -> list [ atom "v"; int id; Ty.to_sexp e.ty ]
-  | Addr_of id -> list [ atom "addr"; int id; Ty.to_sexp e.ty ]
-  | Load p -> list [ atom "load"; to_sexp p; Ty.to_sexp e.ty ]
-  | Binop (op, a, b) ->
-      list [ atom "b"; atom (binop_to_string op); to_sexp a; to_sexp b; Ty.to_sexp e.ty ]
-  | Unop (op, a) ->
-      list [ atom "u"; atom (unop_to_string op); to_sexp a; Ty.to_sexp e.ty ]
-  | Cast (t, a) -> list [ atom "cast"; Ty.to_sexp t; to_sexp a ]
+  let id = Var.id_to_sexp ?name in
+  let rec to_sexp e =
+    match e.desc with
+    | Const_int n -> list [ atom "ci"; int n; Ty.to_sexp e.ty ]
+    | Const_float f -> list [ atom "cf"; float f; Ty.to_sexp e.ty ]
+    | Var v -> list [ atom "v"; id v; Ty.to_sexp e.ty ]
+    | Addr_of v -> list [ atom "addr"; id v; Ty.to_sexp e.ty ]
+    | Load p -> list [ atom "load"; to_sexp p; Ty.to_sexp e.ty ]
+    | Binop (op, a, b) ->
+        list [ atom "b"; atom (binop_to_string op); to_sexp a; to_sexp b; Ty.to_sexp e.ty ]
+    | Unop (op, a) ->
+        list [ atom "u"; atom (unop_to_string op); to_sexp a; Ty.to_sexp e.ty ]
+    | Cast (t, a) -> list [ atom "cast"; Ty.to_sexp t; to_sexp a ]
+  in
+  to_sexp e
 
 let rec of_sexp s =
   let open Sexp in

@@ -77,5 +77,8 @@ val binop_to_string : binop -> string
 val unop_to_string : unop -> string
 val binop_of_string : string -> binop
 val unop_of_string : string -> unop
-val to_sexp : t -> Vpc_support.Sexp.t
+
+(** The catalog form, or under [name] the fingerprint form
+    ({!Var.to_sexp}). *)
+val to_sexp : ?name:(int -> string) -> t -> Vpc_support.Sexp.t
 val of_sexp : Vpc_support.Sexp.t -> t

@@ -82,20 +82,22 @@ let addressed_vars t =
     t.body;
   set
 
-let to_sexp t =
+let to_sexp ?name t =
   let open Sexp in
   list
-    [
-      atom "func";
-      atom t.name;
-      Ty.to_sexp t.ret_ty;
-      bool t.is_static;
-      list (List.map int t.params);
-      list (List.map Var.to_sexp (locals t));
-      list (List.map Stmt.to_sexp t.body);
-      int (Gensym.peek t.stmt_gen);
-      int (Gensym.peek t.label_gen);
-    ]
+    ([
+       atom "func";
+       atom t.name;
+       Ty.to_sexp t.ret_ty;
+       bool t.is_static;
+       list (List.map (Var.id_to_sexp ?name) t.params);
+       list (List.map (Var.to_sexp ?name) (locals t));
+       list (List.map (Stmt.to_sexp ?name) t.body);
+     ]
+    @
+    if Option.is_none name then
+      [ int (Gensym.peek t.stmt_gen); int (Gensym.peek t.label_gen) ]
+    else [])
 
 let of_sexp s =
   let open Sexp in

@@ -50,5 +50,7 @@ val all_stmts : t -> Stmt.t list
     modify. *)
 val addressed_vars : t -> (int, unit) Hashtbl.t
 
-val to_sexp : t -> Vpc_support.Sexp.t
+(** The catalog form, or under [name] the fingerprint form
+    ({!Var.to_sexp}). *)
+val to_sexp : ?name:(int -> string) -> t -> Vpc_support.Sexp.t
 val of_sexp : Vpc_support.Sexp.t -> t

@@ -159,15 +159,13 @@ let pp_func prog ppf (f : Func.t) =
 
 let func_to_string prog f = Fmt.str "%a" (pp_func prog) f
 
-let pp_prog ppf (p : Prog.t) =
-  List.iter
-    (fun (g : Prog.global) ->
-      Fmt.pf ppf "%a %s;@." Ty.pp g.gvar.ty g.gvar.name)
-    (Prog.globals_list p);
-  List.iter
-    (fun f ->
-      Fmt.pf ppf "@.";
-      pp_func p ppf f)
-    p.funcs
+let header_to_string (p : Prog.t) =
+  Fmt.str "%a"
+    Fmt.(list ~sep:nop (fun ppf (g : Prog.global) ->
+             Fmt.pf ppf "%a %s;@." Ty.pp g.gvar.ty g.gvar.name))
+    (Prog.globals_list p)
 
-let prog_to_string p = Fmt.str "%a" pp_prog p
+let func_section prog f = "\n" ^ func_to_string prog f
+
+let prog_to_string p =
+  String.concat "" (header_to_string p :: List.map (func_section p) p.funcs)

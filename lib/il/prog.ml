@@ -79,11 +79,11 @@ let globals_list t =
   Hashtbl.fold (fun _ g acc -> g :: acc) t.globals []
   |> List.sort (fun a b -> compare a.gvar.Var.id b.gvar.Var.id)
 
-let ginit_to_sexp = function
+let ginit_to_sexp ?name = function
   | Init_none -> Sexp.atom "none"
-  | Init_scalar e -> Sexp.list [ Sexp.atom "scalar"; Expr.to_sexp e ]
+  | Init_scalar e -> Sexp.list [ Sexp.atom "scalar"; Expr.to_sexp ?name e ]
   | Init_array es ->
-      Sexp.list (Sexp.atom "array" :: List.map Expr.to_sexp es)
+      Sexp.list (Sexp.atom "array" :: List.map (Expr.to_sexp ?name) es)
   | Init_string s -> Sexp.list [ Sexp.atom "string"; Sexp.atom s ]
 
 let ginit_of_sexp s =
@@ -94,29 +94,33 @@ let ginit_of_sexp s =
   | Sexp.List [ Sexp.Atom "string"; str ] -> Init_string (Sexp.as_atom str)
   | _ -> raise (Sexp.Parse_error "bad ginit sexp")
 
+let structs_to_sexp t =
+  let open Sexp in
+  Hashtbl.fold (fun _ (def : Ty.struct_def) acc -> def :: acc) t.structs []
+  |> List.sort (fun (a : Ty.struct_def) b -> compare a.tag b.tag)
+  |> List.map (fun (def : Ty.struct_def) ->
+         list
+           (atom def.tag
+           :: List.map
+                (fun (name, ty) -> list [ atom name; Ty.to_sexp ty ])
+                def.fields))
+  |> list
+
+let globals_to_sexp ?name t =
+  Sexp.list
+    (List.map
+       (fun g ->
+         Sexp.list [ Var.to_sexp ?name g.gvar; ginit_to_sexp ?name g.ginit ])
+       (globals_list t))
+
 let to_sexp t =
   let open Sexp in
-  let structs =
-    Hashtbl.fold (fun _ (def : Ty.struct_def) acc -> def :: acc) t.structs []
-    |> List.sort (fun (a : Ty.struct_def) b -> compare a.tag b.tag)
-    |> List.map (fun (def : Ty.struct_def) ->
-           list
-             (atom def.tag
-             :: List.map
-                  (fun (name, ty) -> list [ atom name; Ty.to_sexp ty ])
-                  def.fields))
-  in
-  let globals =
-    List.map
-      (fun g -> list [ Var.to_sexp g.gvar; ginit_to_sexp g.ginit ])
-      (globals_list t)
-  in
   list
     [
       atom "program";
-      list structs;
-      list globals;
-      list (List.map Func.to_sexp t.funcs);
+      structs_to_sexp t;
+      globals_to_sexp t;
+      list (List.map (fun f -> Func.to_sexp f) t.funcs);
       int (Gensym.peek t.var_gen);
     ]
 

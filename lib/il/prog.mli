@@ -37,5 +37,16 @@ val find_var : t -> Func.t option -> int -> Var.t option
 
 val var_exn : t -> Func.t option -> int -> Var.t
 val globals_list : t -> global list
+
+(** {1 Serialization} *)
+
+(** The struct layouts, tag-sorted. *)
+val structs_to_sexp : t -> Vpc_support.Sexp.t
+
+(** The globals in layout order with their initializers; under [name]
+    in the fingerprint form ({!Var.to_sexp}). *)
+val globals_to_sexp : ?name:(int -> string) -> t -> Vpc_support.Sexp.t
+
+(** The catalog form of the whole program. *)
 val to_sexp : t -> Vpc_support.Sexp.t
 val of_sexp : Vpc_support.Sexp.t -> t

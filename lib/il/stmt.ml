@@ -208,40 +208,17 @@ let shallow_uses s =
 
 (* Serialization --------------------------------------------------------- *)
 
-let lvalue_to_sexp = function
-  | Lvar id -> Sexp.list [ Sexp.atom "lv"; Sexp.int id ]
-  | Lmem e -> Sexp.list [ Sexp.atom "lm"; Expr.to_sexp e ]
-
 let lvalue_of_sexp s =
   match Sexp.as_list s with
   | [ Sexp.Atom "lv"; id ] -> Lvar (Sexp.as_int id)
   | [ Sexp.Atom "lm"; e ] -> Lmem (Expr.of_sexp e)
   | _ -> raise (Sexp.Parse_error "bad lvalue sexp")
 
-let section_to_sexp sec =
-  Sexp.list [ Expr.to_sexp sec.base; Expr.to_sexp sec.count; Expr.to_sexp sec.stride ]
-
 let section_of_sexp s =
   match Sexp.as_list s with
   | [ b; c; st ] ->
       { base = Expr.of_sexp b; count = Expr.of_sexp c; stride = Expr.of_sexp st }
   | _ -> raise (Sexp.Parse_error "bad section sexp")
-
-let rec vexpr_to_sexp = function
-  | Vsec sec -> Sexp.list [ Sexp.atom "vsec"; section_to_sexp sec ]
-  | Vscalar e -> Sexp.list [ Sexp.atom "vscalar"; Expr.to_sexp e ]
-  | Viota (off, scale) ->
-      Sexp.list [ Sexp.atom "viota"; Expr.to_sexp off; Expr.to_sexp scale ]
-  | Vcast (ty, a) ->
-      Sexp.list [ Sexp.atom "vcast"; Ty.to_sexp ty; vexpr_to_sexp a ]
-  | Vbin (op, a, b) ->
-      Sexp.list
-        [ Sexp.atom "vbin"; Sexp.atom (Expr.binop_to_string op);
-          vexpr_to_sexp a; vexpr_to_sexp b ]
-  | Vun (op, a) ->
-      Sexp.list
-        [ Sexp.atom "vun"; Sexp.atom (Expr.unop_to_string op); vexpr_to_sexp a ]
-  | Vtmp (t, ty) -> Sexp.list [ Sexp.atom "vtmp"; Sexp.int t; Ty.to_sexp ty ]
 
 let rec vexpr_of_sexp s =
   match Sexp.as_list s with
@@ -278,48 +255,68 @@ let dsync_of_sexp s =
         post_after = Sexp.as_int p; wait_before = Sexp.as_int w; cum }
   | _ -> raise (Sexp.Parse_error "bad dsync sexp")
 
-let rec to_sexp s =
+(* Under [name], statement ids are left out: per-function gensyms make
+   them a function of the structure rendered here. *)
+let to_sexp ?name s =
   let open Sexp in
-  let tail =
-    match s.desc with
-    | Assign (lv, e) -> [ atom "assign"; lvalue_to_sexp lv; Expr.to_sexp e ]
-    | Call (dst, tgt, args) ->
-        let dst_s = match dst with None -> atom "none" | Some lv -> lvalue_to_sexp lv in
-        let tgt_s =
-          match tgt with
-          | Direct name -> list [ atom "direct"; atom name ]
-          | Indirect e -> list [ atom "indirect"; Expr.to_sexp e ]
-        in
-        [ atom "call"; dst_s; tgt_s; list (List.map Expr.to_sexp args) ]
-    | If (c, t_, e_) ->
-        [ atom "if"; Expr.to_sexp c; list (List.map to_sexp t_);
-          list (List.map to_sexp e_) ]
-    | While (li, c, body) ->
-        [ atom "while"; bool li.pragma_independent; bool li.doacross;
-          int li.serial_prefix; Expr.to_sexp c; list (List.map to_sexp body) ]
-    | Do_loop d ->
-        let base =
-          [ atom "do"; int d.index; Expr.to_sexp d.lo; Expr.to_sexp d.hi;
-            Expr.to_sexp d.step; bool d.parallel; bool d.independent;
-            list (List.map to_sexp d.body) ]
-        in
-        (* the sync slot is trailing and omitted when empty, so pre-doacross
-           dumps keep parsing and byte-compare equal *)
-        if d.sync = [] then base
-        else base @ [ list (List.map dsync_to_sexp d.sync) ]
-    | Goto l -> [ atom "goto"; atom l ]
-    | Label l -> [ atom "label"; atom l ]
-    | Return None -> [ atom "return" ]
-    | Return (Some e) -> [ atom "return"; Expr.to_sexp e ]
-    | Vector v ->
-        [ atom "vector"; section_to_sexp v.vdst; vexpr_to_sexp v.vsrc;
-          Ty.to_sexp v.velt ]
-    | Vdef vd ->
-        [ atom "vdef"; int vd.vt; vexpr_to_sexp vd.vval;
-          Expr.to_sexp vd.vcount; Ty.to_sexp vd.vty ]
-    | Nop -> [ atom "nop" ]
+  let expr = Expr.to_sexp ?name in
+  let lvalue = function
+    | Lvar id -> list [ atom "lv"; Var.id_to_sexp ?name id ]
+    | Lmem e -> list [ atom "lm"; expr e ]
   in
-  list (int s.id :: tail)
+  let section sec = list [ expr sec.base; expr sec.count; expr sec.stride ] in
+  let rec vexpr = function
+    | Vsec sec -> list [ atom "vsec"; section sec ]
+    | Vscalar e -> list [ atom "vscalar"; expr e ]
+    | Viota (off, scale) -> list [ atom "viota"; expr off; expr scale ]
+    | Vcast (ty, a) -> list [ atom "vcast"; Ty.to_sexp ty; vexpr a ]
+    | Vbin (op, a, b) ->
+        list [ atom "vbin"; atom (Expr.binop_to_string op); vexpr a; vexpr b ]
+    | Vun (op, a) -> list [ atom "vun"; atom (Expr.unop_to_string op); vexpr a ]
+    | Vtmp (t, ty) -> list [ atom "vtmp"; int t; Ty.to_sexp ty ]
+  in
+  let rec to_sexp s =
+    let tail =
+      match s.desc with
+      | Assign (lv, e) -> [ atom "assign"; lvalue lv; expr e ]
+      | Call (dst, tgt, args) ->
+          let dst_s = match dst with None -> atom "none" | Some lv -> lvalue lv in
+          let tgt_s =
+            match tgt with
+            | Direct name -> list [ atom "direct"; atom name ]
+            | Indirect e -> list [ atom "indirect"; expr e ]
+          in
+          [ atom "call"; dst_s; tgt_s; list (List.map expr args) ]
+      | If (c, t_, e_) ->
+          [ atom "if"; expr c; list (List.map to_sexp t_);
+            list (List.map to_sexp e_) ]
+      | While (li, c, body) ->
+          [ atom "while"; bool li.pragma_independent; bool li.doacross;
+            int li.serial_prefix; expr c; list (List.map to_sexp body) ]
+      | Do_loop d ->
+          let base =
+            [ atom "do"; Var.id_to_sexp ?name d.index; expr d.lo; expr d.hi;
+              expr d.step; bool d.parallel; bool d.independent;
+              list (List.map to_sexp d.body) ]
+          in
+          (* the sync slot is trailing and omitted when empty, so
+             pre-doacross dumps keep parsing and byte-compare equal *)
+          if d.sync = [] then base
+          else base @ [ list (List.map dsync_to_sexp d.sync) ]
+      | Goto l -> [ atom "goto"; atom l ]
+      | Label l -> [ atom "label"; atom l ]
+      | Return None -> [ atom "return" ]
+      | Return (Some e) -> [ atom "return"; expr e ]
+      | Vector v ->
+          [ atom "vector"; section v.vdst; vexpr v.vsrc; Ty.to_sexp v.velt ]
+      | Vdef vd ->
+          [ atom "vdef"; int vd.vt; vexpr vd.vval; expr vd.vcount;
+            Ty.to_sexp vd.vty ]
+      | Nop -> [ atom "nop" ]
+    in
+    list (if Option.is_none name then int s.id :: tail else tail)
+  in
+  to_sexp s
 
 let rec of_sexp s =
   let open Sexp in

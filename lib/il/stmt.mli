@@ -127,5 +127,8 @@ val shallow_uses : t -> int list
 
 val dsync_to_sexp : dsync -> Vpc_support.Sexp.t
 val dsync_of_sexp : Vpc_support.Sexp.t -> dsync
-val to_sexp : t -> Vpc_support.Sexp.t
+
+(** The catalog form, or under [name] the fingerprint form
+    ({!Var.to_sexp}). *)
+val to_sexp : ?name:(int -> string) -> t -> Vpc_support.Sexp.t
 val of_sexp : Vpc_support.Sexp.t -> t

@@ -48,10 +48,15 @@ let storage_of_string = function
   | "extern" -> Extern
   | s -> raise (Sexp.Parse_error ("unknown storage " ^ s))
 
-let to_sexp v =
+(* A variable id as the serializer writes it: the number itself, or
+   under a naming function the name it gives. *)
+let id_to_sexp ?name id =
+  match name with None -> Sexp.int id | Some name -> Sexp.atom (name id)
+
+let to_sexp ?name v =
   Sexp.list
     [
-      Sexp.int v.id;
+      id_to_sexp ?name v.id;
       Sexp.atom v.name;
       Ty.to_sexp v.ty;
       Sexp.atom (storage_to_string v.storage);

@@ -37,5 +37,15 @@ val is_memory_object : t -> bool
 val is_global : t -> bool
 
 val storage_to_string : storage -> string
-val to_sexp : t -> Vpc_support.Sexp.t
+
+(** {1 Serialization}
+
+    Every IL [to_sexp] takes the same optional [name].  Without it the
+    output is the catalog form, which {!of_sexp} reads back.  With it,
+    each variable id renders as the atom [name id], and statement ids
+    and gensym counters are left out: the form the compilation cache
+    fingerprints. *)
+
+val id_to_sexp : ?name:(int -> string) -> int -> Vpc_support.Sexp.t
+val to_sexp : ?name:(int -> string) -> t -> Vpc_support.Sexp.t
 val of_sexp : Vpc_support.Sexp.t -> t

@@ -19,15 +19,13 @@ open Vpc_support
 
 type func_entry = {
   fe_name : string;
-  fe_il : string;    (* optimized IL, catalog sexp form *)
   fe_dump : string;  (* printed IL text, byte-exact piece of prog_to_string *)
   fe_asm : string;   (* Titan assembly text, byte-exact pp_func output *)
 }
 
 type entry = {
   key : string;
-  funcs : func_entry list;            (* component members, name-sorted *)
-  summaries : (string * string) list; (* points-to summaries, name-sorted *)
+  funcs : func_entry list;  (* component members, name-sorted *)
 }
 
 type t = {
@@ -57,31 +55,20 @@ let create ?dir () =
 let entry_to_sexp (e : entry) =
   let open Sexp in
   let fe (f : func_entry) =
-    list [ atom f.fe_name; atom f.fe_il; atom f.fe_dump; atom f.fe_asm ]
+    list [ atom f.fe_name; atom f.fe_dump; atom f.fe_asm ]
   in
-  let sm (name, text) = list [ atom name; atom text ] in
-  list
-    [
-      atom "entry";
-      atom e.key;
-      list (List.map fe e.funcs);
-      list (List.map sm e.summaries);
-    ]
+  list [ atom "entry"; atom e.key; list (List.map fe e.funcs) ]
 
 let entry_of_sexp s =
   let open Sexp in
   match s with
-  | List [ Atom "entry"; Atom key; List funcs; List summaries ] ->
+  | List [ Atom "entry"; Atom key; List funcs ] ->
       let fe = function
-        | List [ Atom n; Atom il; Atom d; Atom a ] ->
-            { fe_name = n; fe_il = il; fe_dump = d; fe_asm = a }
+        | List [ Atom n; Atom d; Atom a ] ->
+            { fe_name = n; fe_dump = d; fe_asm = a }
         | _ -> raise (Parse_error "cache entry: bad function record")
       in
-      let sm = function
-        | List [ Atom n; Atom t ] -> (n, t)
-        | _ -> raise (Parse_error "cache entry: bad summary record")
-      in
-      { key; funcs = List.map fe funcs; summaries = List.map sm summaries }
+      { key; funcs = List.map fe funcs }
   | _ -> raise (Parse_error "cache entry: bad shape")
 
 (* Persistence ------------------------------------------------------------ *)

@@ -1,9 +1,11 @@
 (** Content fingerprints for the compilation cache.
 
-    All functions return hex MD5 digests of canonical renderings.  The
+    All functions return hex MD5 digests of the IL serializer's output
+    ([to_sexp ~name], one flat line) under canonical variable names.  The
     renderings normalize away representation accidents — source
-    locations, gensym counters, and raw program-wide variable ids (which
-    shift whenever an earlier procedure changes size) — while keeping
+    locations, statement ids, gensym counters, and raw program-wide
+    variable ids (which shift whenever an earlier procedure changes
+    size) — while keeping
     everything the optimizer and the printers can observe: names, types,
     storage classes, statement structure, and pragma bits.  Two
     procedures get equal fingerprints exactly when the compiler must

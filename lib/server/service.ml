@@ -132,21 +132,16 @@ type response = {
 
 (* Rendering -------------------------------------------------------------- *)
 
-(* The globals header exactly as [Pp.pp_prog] prints it. *)
-let header_text (prog : Prog.t) =
-  let buf = Buffer.create 128 in
-  List.iter
-    (fun (g : Prog.global) ->
-      Buffer.add_string buf
-        (Fmt.str "%a %s;@." Ty.pp g.Prog.gvar.Var.ty g.Prog.gvar.Var.name))
-    (Prog.globals_list prog);
-  Buffer.contents buf
+(* The IL response, [Pp.prog_to_string] piece by piece: the globals
+   header, then each function's section (looked up by name) in source
+   order. *)
+let il_text (prog : Prog.t) section =
+  String.concat ""
+    (Pp.header_to_string prog
+    :: List.map (fun (f : Func.t) -> section f.Func.name) prog.Prog.funcs)
 
-(* One function's slice of [Pp.pp_prog]: a blank separator line, then
-   the function text. *)
-let func_dump_text (prog : Prog.t) (f : Func.t) =
-  "\n" ^ Pp.func_to_string prog f
-
+(* The Titan listing, one [pp_func] text per function, name-sorted: what
+   titancc --dump-asm prints and what the cache serves. *)
 let asm_texts (prog : Prog.t) : (string * string) list =
   let layout = Vpc.Titan.Machine.layout_globals prog in
   let tprog =
@@ -161,7 +156,7 @@ let asm_texts (prog : Prog.t) : (string * string) list =
 
 (* Keys ------------------------------------------------------------------- *)
 
-let schema_tag = "titancc-cache-3"
+let schema_tag = "titancc-cache-4"
 
 let options_fp (c : copts) =
   (* paths out, contents in: the same catalog reached via a different
@@ -262,17 +257,11 @@ let compile ?timer (cache : Cache.t) (req : request) : response =
                 asm_pieces := (fe.Cache.fe_name, fe.Cache.fe_asm) :: !asm_pieces)
               e.Cache.funcs)
           entries;
-        let il = Buffer.create 1024 in
-        Buffer.add_string il (header_text prog);
-        List.iter
-          (fun (f : Func.t) ->
-            Buffer.add_string il (Hashtbl.find dump_of f.Func.name))
-          prog.Prog.funcs;
         List.iter
           (fun (_, text) -> Buffer.add_string asm text)
           (List.sort (fun (a, _) (b, _) -> compare a b) !asm_pieces);
         {
-          res_il = Buffer.contents il;
+          res_il = il_text prog (Hashtbl.find dump_of);
           res_asm = Buffer.contents asm;
           res_components = n;
           res_cached = n;
@@ -285,46 +274,31 @@ let compile ?timer (cache : Cache.t) (req : request) : response =
        win), so the result is bit-identical to a from-scratch compile
        of the same source. *)
     ignore (timed "optimize" (fun () -> Vpc.optimize ~options prog));
-    let il = Pp.prog_to_string prog in
-    let asms = timed "codegen" (fun () -> asm_texts prog) in
-    let summaries =
-      if Vpc.enabled options `Pointsto then
-        timed "summaries" (fun () ->
-            let pt = Vpc.Pointsto.Pointsto.analyze prog in
-            List.map
-              (fun (f : Func.t) ->
-                ( f.Func.name,
-                  Fmt.str "%a" (Vpc.Pointsto.Pointsto.pp_summary pt) f.Func.name
-                ))
-              prog.Prog.funcs)
-      else []
+    let dumps =
+      List.map
+        (fun (f : Func.t) -> (f.Func.name, Pp.func_section prog f))
+        prog.Prog.funcs
     in
+    let asms = timed "codegen" (fun () -> asm_texts prog) in
     timed "store" (fun () ->
         Array.iteri
           (fun i members_key ->
-            let members = keyed.k_comps.Components.members.(i) in
             let funcs =
               List.map
                 (fun name ->
-                  let f = Option.get (Prog.find_func prog name) in
                   {
                     Cache.fe_name = name;
-                    fe_il = Sexp.to_string (Func.to_sexp f);
-                    fe_dump = func_dump_text prog f;
+                    fe_dump = List.assoc name dumps;
                     fe_asm =
                       (try List.assoc name asms
                        with Not_found -> "");
                   })
-                members
+                keyed.k_comps.Components.members.(i)
             in
-            let summaries =
-              List.filter (fun (n, _) -> List.mem n members) summaries
-            in
-            Cache.store cache
-              { Cache.key = members_key; funcs; summaries })
+            Cache.store cache { Cache.key = members_key; funcs })
           keyed.k_keys);
     {
-      res_il = il;
+      res_il = il_text prog (fun name -> List.assoc name dumps);
       res_asm =
         String.concat "" (List.map snd asms);
       res_components = n;

@@ -19,12 +19,11 @@ let needs_quoting s =
   || String.exists
        (fun c ->
          match c with
-         | ' ' | '\t' | '\n' | '(' | ')' | '"' | '\\' | ';' -> true
+         | ' ' | '\t' | '\n' | '\r' | '(' | ')' | '"' | '\\' | ';' -> true
          | _ -> false)
        s
 
-let escape s =
-  let buf = Buffer.create (String.length s + 2) in
+let add_quoted buf s =
   Buffer.add_char buf '"';
   String.iter
     (fun c ->
@@ -35,14 +34,25 @@ let escape s =
       | '\t' -> Buffer.add_string buf "\\t"
       | c -> Buffer.add_char buf c)
     s;
-  Buffer.add_char buf '"';
+  Buffer.add_char buf '"'
+
+(* One flat line: lists are parenthesized, elements separated by one
+   space.  Every reader skips whitespace, so no layout is needed. *)
+let to_string t =
+  let buf = Buffer.create 256 in
+  let rec go = function
+    | Atom s -> if needs_quoting s then add_quoted buf s else Buffer.add_string buf s
+    | List l ->
+        Buffer.add_char buf '(';
+        List.iteri
+          (fun i x ->
+            if i > 0 then Buffer.add_char buf ' ';
+            go x)
+          l;
+        Buffer.add_char buf ')'
+  in
+  go t;
   Buffer.contents buf
-
-let rec pp ppf = function
-  | Atom s -> Fmt.string ppf (if needs_quoting s then escape s else s)
-  | List l -> Fmt.pf ppf "(@[<hov 1>%a@])" Fmt.(list ~sep:sp pp) l
-
-let to_string t = Fmt.str "%a" pp t
 
 (* Parsing *)
 

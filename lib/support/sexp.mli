@@ -19,7 +19,7 @@ val bool : bool -> t
 
 (** {1 Printing and parsing} *)
 
-val pp : Format.formatter -> t -> unit
+(** One line, one space between list elements. *)
 val to_string : t -> string
 
 (** Parse exactly one sexp; trailing garbage is an error. *)

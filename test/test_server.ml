@@ -111,8 +111,62 @@ float second(int n)
     (fp_of (src "") "second")
     (fp_of (src "float t; t = x; x = t;") "second")
 
-(* Digests recorded before the function and global renderers shared
-   one expression renderer: the merge must not move a cache key. *)
+(* Fingerprints forget representation accidents, never meaning: each
+   edit below changes something the optimizer or the printers can see,
+   so it must move the digest of the function (or of the globals) it
+   touches. *)
+let test_fp_separates () =
+  let src ?(param = "n") ?(local = "s") ?(local_ty = "float")
+      ?(storage = "static ") ?(volatile = "") ?(pragma = "") () =
+    Printf.sprintf
+      {|%s%sfloat g[16];
+float f(int %s)
+{
+  int i;
+  %s %s;
+  %s = 0.0f;
+%s
+  for (i = 0; i < %s; i++) g[i] = g[i] * 2.0f;
+  return %s;
+}
+|}
+      storage volatile param local_ty local local pragma param local
+  in
+  let digests src =
+    let prog = Vpc.parse src in
+    (F.func prog (Option.get (Il.Prog.find_func prog "f")), F.globals prog)
+  in
+  let base_f, base_g = digests (src ()) in
+  List.iter
+    (fun (what, moved, variant) ->
+      let f, g = digests variant in
+      check Alcotest.(neg string) what
+        (if moved = `Func then base_f else base_g)
+        (if moved = `Func then f else g))
+    [
+      ("renaming a local moves the function digest", `Func, src ~local:"t" ());
+      ( "renaming a parameter moves the function digest",
+        `Func,
+        src ~param:"m" () );
+      ( "changing a local's type moves the function digest",
+        `Func,
+        src ~local_ty:"double" () );
+      ( "a loop pragma bit moves the function digest",
+        `Func,
+        src ~pragma:"#pragma vpc independent" () );
+      ( "a global's storage class moves the globals digest",
+        `Globals,
+        src ~storage:"" () );
+      ( "a global's volatility moves the globals digest",
+        `Globals,
+        src ~volatile:"volatile " () );
+    ]
+
+(* Digests of the IL serializer's flat output under canonical names
+   (params pN, locals lN, globals g!name), recorded when that serializer
+   replaced a separate fingerprint renderer.  A change to the
+   serializer, the naming or the printer moves a cache key; it must
+   come with a [schema_tag] bump and a deliberate re-recording here. *)
 let test_fp_pinned () =
   let extra =
     {|struct pt { float x; int n; };
@@ -142,23 +196,23 @@ int main() { origin.n = table[2]; return origin.n + table[1]; }
     Alcotest.(list (triple string string string))
     "digests"
     [
-      ("graphics.c", "transform_all", "bddbe681b43912e90ddc058c782b99ba");
-      ("graphics.c", "transform_one", "5536c937575b1c728ed681b7b9d7a0b0");
-      ("graphics.c", "main", "ca15dd1b4c25422230dbfce2b323f732");
-      ("graphics.c", "globals", "a73f61841debc0a50269afdc90b61e66");
+      ("graphics.c", "transform_all", "8021380587a4fd7816668f5c4f2100d7");
+      ("graphics.c", "transform_one", "3d2c9632e51fecc0dd751acae8871ec9");
+      ("graphics.c", "main", "e3772d657d0fd091e8d2d99c56b9ebc9");
+      ("graphics.c", "globals", "24948bb2f4cbd4d0685cfd0cd707613d");
       ("graphics.c", "structs", "bcd8b0c2eb1fce714eab6cef0d771acc");
-      ("math_library.c", "lerp", "aa8591750f07943c3281c6b3843d9c2b");
-      ("math_library.c", "sq", "337df92711ad54fb2a1b998b08ad1988");
-      ("math_library.c", "midpoint", "314e1e33bea5ed4592df455f274cf474");
-      ("math_library.c", "main", "b27e08e9df8a1b3b9739f7764cb40937");
-      ("math_library.c", "globals", "44718c39ed5e8b9cdde6d64bda168157");
+      ("math_library.c", "lerp", "cf15a0f46e7de9ac29b79f40a6f24c33");
+      ("math_library.c", "sq", "3651c38d53ad60b13b21181f4d584058");
+      ("math_library.c", "midpoint", "ba7362094a9be3727f8a96ac744d2760");
+      ("math_library.c", "main", "9940824018e3aabd7772009a64e4a12c");
+      ("math_library.c", "globals", "c5e4b78dde6bb05aacbe6700b018bbe5");
       ("math_library.c", "structs", "bcd8b0c2eb1fce714eab6cef0d771acc");
-      ("device_poll.c", "wait_for_key", "e7b5f0b7c14fdf082fd4514bebf9c769");
-      ("device_poll.c", "main", "4db171986792c95af1a462c3a3fce19d");
-      ("device_poll.c", "globals", "37bd372d28e858341c3d8e7a1356908c");
+      ("device_poll.c", "wait_for_key", "11ca1a25c27ffa4bf40a5d958cfd8766");
+      ("device_poll.c", "main", "cba621d3741ec5f9d0b63732a891350b");
+      ("device_poll.c", "globals", "0f1a1d2adb2899c98d53840a61940992");
       ("device_poll.c", "structs", "bcd8b0c2eb1fce714eab6cef0d771acc");
-      ("extra", "main", "5193c3c95abb9a04943e272ac5910499");
-      ("extra", "globals", "4e614afcc04084d2c8df5f49b99c272a");
+      ("extra", "main", "f5916a7461d6eaeff79867595f37c3fd");
+      ("extra", "globals", "c034b1ddc8e345659d7ede77cf3f3f35");
       ("extra", "structs", "61aaec46a34c812b9188bf4e130b3a78");
     ]
     computed
@@ -301,12 +355,11 @@ let test_cache_roundtrip () =
         [
           {
             C.fe_name = "f";
-            fe_il = "(func \"f\" with\nnewlines \"quotes\" \\ and tabs\t)";
-            fe_dump = "float f()\n{\n  return 1.0;\n}\n";
+            fe_dump =
+              "\nfloat f()\n{\n  s = \"(quotes)\" \\ and\ttabs;\n  return 1.0;\n}\n";
             fe_asm = "f:  ; 2 regs\n  ret\n";
           };
         ];
-      summaries = [ ("f", "f: reads {a}, writes {}\n") ];
     }
   in
   let e' =
@@ -350,12 +403,19 @@ let test_served_bytes_identical () =
       in
       checks (name ^ ": IL equals prog_to_string")
         (Il.Pp.prog_to_string prog) cold.S.res_il)
-    [
-      ("chain.c", chain_src ());
-      ("comment.c", chain_src ~comment:"/* note */" ());
-      ("backsolve.c", read_example "backsolve.c");
-      ("graphics.c", read_example "graphics.c");
-    ]
+    ([
+       ("chain.c", chain_src ());
+       ("comment.c", chain_src ~comment:"/* note */" ());
+     ]
+    @ List.concat_map
+        (fun dir ->
+          Sys.readdir dir |> Array.to_list
+          |> List.filter (fun f -> Filename.check_suffix f ".c")
+          |> List.sort compare
+          |> List.map (fun f ->
+                 let path = Filename.concat dir f in
+                 (path, Helpers.read_file path)))
+        [ "../examples"; "fixtures" ])
 
 (* An in-process request with a strip length below 1 (one that never
    went through [copts_of_sexp]) is refused with [Invalid_argument], not
@@ -529,4 +589,6 @@ let tests =
       test_worklist_equals_naive;
     Alcotest.test_case "daemon: protocol round-trip" `Quick
       test_daemon_roundtrip;
+    Alcotest.test_case "fingerprint: meaningful edits separate" `Quick
+      test_fp_separates;
   ]

@@ -11,6 +11,8 @@ let sexp_roundtrip () =
       Sexp.List [ Sexp.Atom "a"; Sexp.Atom "b c"; Sexp.Atom "" ];
       Sexp.List [ Sexp.List [ Sexp.Atom "nested" ]; Sexp.Atom "x\"y\\z" ];
       Sexp.List [ Sexp.Atom "line\nbreak"; Sexp.Atom "tab\there" ];
+      (* the reader ends a bare atom at a carriage return *)
+      Sexp.Atom "carriage\rreturn";
       Sexp.int 42;
       Sexp.float 3.25;
       Sexp.bool true;

@@ -392,12 +392,14 @@ let example_files () =
    depend on the plan's answer only through the decision.  Compile every
    single-knob configuration the search visits, on every scout nest of
    every example; whenever one compile's log calls another plan
-   equivalent, the two must print the same IL. *)
+   equivalent, the two must print the same IL.  The fixture adds a
+   transpose nest whose two loop orders tie under the interchange cost
+   model, so the resolver's tie handling is exercised too. *)
 let decision_logs_predict_il () =
   let equivalent = ref 0 in
   List.iter
     (fun file ->
-      let src = Helpers.read_file (Filename.concat "../examples" file) in
+      let src = Helpers.read_file file in
       let candidates =
         ("static", None)
         :: List.concat_map
@@ -442,7 +444,8 @@ let decision_logs_predict_il () =
               end)
             compiled)
         compiled)
-    (example_files ());
+    (List.map (Filename.concat "../examples") (example_files ())
+    @ [ "fixtures/interchange_tie.c" ]);
   if !equivalent = 0 then Alcotest.fail "no two candidates were equivalent"
 
 (* ---- golden tune table ----
@@ -453,7 +456,9 @@ let decision_logs_predict_il () =
    the nests considered and improved.  test/fixtures/tune_golden.txt
    was recorded before the search learned to skip candidates whose
    decisions an earlier compile already made, so any drift is a change
-   in what tuning finds, never a speed-up. *)
+   in what tuning finds, never a speed-up.  Its store texts were
+   re-recorded once, in whitespace only, when the sexp printer became
+   a flat one-line printer. *)
 let tune_golden_rows () =
   example_files ()
   |> List.filter (fun f -> f <> "device_poll.c")

@@ -481,7 +481,15 @@ let cli_exit_codes () =
            [ path; "-O"; "0"; "--check"; "-q"; "--inject-fault"; "wrong-const" ]);
       Alcotest.(check int) "unknown fault kind exits 1" 1
         (run_cli
-           [ path; "-O"; "0"; "--no-run"; "-q"; "--inject-fault"; "bogus" ]))
+           [ path; "-O"; "0"; "--no-run"; "-q"; "--inject-fault"; "bogus" ]));
+  (* a corruption visible only in main's return value: --check compares
+     return values as well as stdout *)
+  with_temp_c "int main(){int r; r = 5; return r;}\n" (fun path ->
+      Alcotest.(check int) "the return value checks (exit 5)" 5
+        (run_cli [ path; "-O"; "0"; "--check"; "-q" ]);
+      Alcotest.(check int) "a wrong return value fails --check (exit 2)" 2
+        (run_cli
+           [ path; "-O"; "0"; "--inject-fault=wrong-const"; "--check"; "-q" ]))
 
 (* A function whose exit no path reaches once compiled at every
    optimizing level (liveness used to assume a reachable exit). *)
