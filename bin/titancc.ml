@@ -318,6 +318,11 @@ let run_compiler file opt_level inline_only disabled lint why_scalar
   | Vpc.Titan.Machine.Runtime_error m | Vpc.Il.Interp.Runtime_error m ->
       Printf.eprintf "runtime error: %s\n" m;
       exit 1
+  | Vpc.Il.Interp.Timeout ->
+      Printf.eprintf
+        "runtime error: the IL interpreter ran out of its step budget (does \
+         the program terminate?)\n";
+      exit 1
   | Vpc.Support.Sexp.Parse_error m ->
       Printf.eprintf "profile/catalog parse error: %s\n" m;
       exit 1

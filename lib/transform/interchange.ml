@@ -147,12 +147,13 @@ let run ?(stats = new_stats ()) (decide : Decide.t) (prog : Prog.t)
             (fun (bc, bp) (c, p) -> if c < bc then (c, p) else (bc, bp))
             (id_cost, id_perm) scored
         in
+        (* [best] is the first strict minimum of a fold seeded with the
+           identity, so another order is always strictly cheaper *)
         let reorders = best <> id_perm in
         let interchange =
           Decide.override decide (Decide.Interchange s.Stmt.loc) (function
             | Some false -> false
-            | Some true -> reorders && best_cost <= id_cost
-            | None -> reorders && best_cost < id_cost)
+            | Some true | None -> reorders)
         in
         (match decide.Decide.report with
         | Some report ->

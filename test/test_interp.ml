@@ -143,6 +143,62 @@ let runtime_errors () =
       ("null deref", "int main() { int *p; p = 0; return *p; }");
     ]
 
+(* Float comparisons follow IEEE, as the simulator's do: every ordered
+   comparison with a NaN is false and [!=] is true, in scalar code and in
+   vector statements alike. *)
+let nan_scalar_src =
+  {|int main() {
+      double z;
+      z = 0.0;
+      z = z / z;
+      if (z == z) printf("eq\n"); else printf("ne\n");
+      if (z < 1.0) printf("lt\n"); else printf("nlt\n");
+      return 0;
+    }|}
+
+let nan_vector_src =
+  {|double x[8];
+    double y[8];
+    double r[8];
+    int main() {
+      int i, n;
+      double z;
+      z = 0.0;
+      z = z / z;
+      for (i = 0; i < 8; i++) { x[i] = z; y[i] = 1.0; }
+      for (i = 0; i < 8; i++) r[i] = (x[i] < y[i]) + (x[i] == x[i]) + (x[i] != x[i]);
+      n = 0;
+      for (i = 0; i < 8; i++) n = n + r[i];
+      printf("%d\n", n);
+      return 0;
+    }|}
+
+let ieee_comparisons () =
+  List.iter
+    (fun (name, src, expected) ->
+      List.iter
+        (fun (oname, options) ->
+          let prog = compile ~options src in
+          let what = Printf.sprintf "%s at %s" name oname in
+          Alcotest.(check string) what expected (interp_output prog);
+          Alcotest.(check string) (what ^ ": titan agrees") expected (titan_output prog))
+        [ ("O0", Vpc.o0); ("O3", Vpc.o3) ])
+    [ ("scalar", nan_scalar_src, "ne\nnlt\n"); ("vector", nan_vector_src, "8\n") ];
+  (* the -O3 program really compares vectors *)
+  check_contains "vector compare" ~needle:"(vt0 < vt1)"
+    (func_il ~options:Vpc.o3 nan_vector_src "main")
+
+(* The step budget is inclusive: a run needing exactly [max_steps] steps
+   completes, one step fewer times out. *)
+let step_budget_boundary () =
+  let prog = compile (read_file "../examples/quickstart.c") in
+  let steps = (Vpc.Il.Interp.run prog).steps_executed in
+  Alcotest.(check int) "exact budget" steps
+    (Vpc.Il.Interp.run ~max_steps:steps prog).steps_executed;
+  match Vpc.Il.Interp.run ~max_steps:(steps - 1) prog with
+  | exception Vpc.Il.Interp.Timeout -> ()
+  | _ -> Alcotest.fail "expected Timeout one step short"
+
 (* Random pure integer expressions evaluated against an OCaml model. *)
 let expr_prop =
   let module G = QCheck.Gen in
@@ -214,6 +270,136 @@ let printf_formats () =
     (interp_output (compile src))
     (titan_output (compile src))
 
+
+(* ----------------------------------------------------------------- *)
+(* Golden interpreter table                                          *)
+(* ----------------------------------------------------------------- *)
+
+(* One row per program run: the MD5 of stdout, the return value with its
+   constructor, the step count and the FP-operation count, or the exact
+   runtime error, or [timeout].  The committed table was recorded from
+   the interpreter before it was rewritten to decode each function once:
+   any drift is a change to the reference semantics, never a speed-up. *)
+let golden_path = "fixtures/interp_golden.txt"
+
+module Interp = Vpc.Il.Interp
+
+let interp_row ?max_steps ?on_volatile_read name prog =
+  match Interp.run ?max_steps ?on_volatile_read prog with
+  | r ->
+      Printf.sprintf "%s stdout=%s ret=%s steps=%d fp_ops=%d" name
+        (Digest.to_hex (Digest.string r.stdout_text))
+        (match r.return_value with
+        | Interp.V_int n -> Printf.sprintf "int:%d" n
+        | Interp.V_float f -> Printf.sprintf "float:%h" f)
+        r.steps_executed r.fp_ops
+  | exception Interp.Runtime_error m -> Printf.sprintf "%s error=%s" name m
+  | exception Interp.Timeout -> Printf.sprintf "%s timeout" name
+
+(* [src] compiled at [options], then [edit] applied to function [fname]'s
+   body statement by statement: how the table reaches IL the front end
+   never emits. *)
+let edited ?(options = Vpc.o0) src fname edit =
+  let prog = compile ~options src in
+  let f = Vpc.Il.Prog.func_exn prog fname in
+  f.body <- Vpc.Il.Stmt.map_list edit f.body;
+  prog
+
+let replace_call edit (s : Vpc.Il.Stmt.t) =
+  match s.desc with
+  | Call (dst, tgt, args) ->
+      let tgt, args = edit tgt args in
+      [ { s with desc = Call (dst, tgt, args) } ]
+  | _ -> [ s ]
+
+(* The paper's device model: the status register reads 42 from its 5th
+   read on (examples/device_poll.ml). *)
+let device () =
+  let reads = ref 0 in
+  fun (v : Vpc.Il.Var.t) ->
+    if v.name = "keyboard_status" then begin
+      incr reads;
+      Some (Interp.V_int (if !reads >= 5 then 42 else 0))
+    end
+    else None
+
+(* Inputs that never stop run under a small budget. *)
+let spins = [ "device_poll.c"; "lint_bugs.c"; "unreachable_exit.c" ]
+
+let program_rows () =
+  let files dir =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".c")
+    |> List.sort compare
+    |> List.map (fun f -> (dir, f))
+  in
+  List.concat_map
+    (fun (dir, file) ->
+      let src = read_file (Filename.concat dir file) in
+      let name = Filename.chop_suffix file ".c" in
+      List.concat_map
+        (fun (oname, options) ->
+          let prog = compile ~options src in
+          let row = Printf.sprintf "%s %s" name oname in
+          if List.mem file spins then
+            interp_row ~max_steps:200_000 (row ^ " max_steps=200000") prog
+            ::
+            (if file = "device_poll.c" then
+               [ interp_row ~on_volatile_read:(device ()) (row ^ " device") prog ]
+             else [])
+          else [ interp_row row prog ])
+        [ ("O0", Vpc.o0); ("O3", Vpc.o3) ])
+    (files "../examples" @ files "fixtures")
+
+let error_rows () =
+  let c name ?options ?max_steps src =
+    interp_row ?max_steps name (compile ?options src)
+  in
+  let zero_step (s : Vpc.Il.Stmt.t) =
+    match s.desc with
+    | Do_loop d ->
+        [ { s with desc = Do_loop { d with step = Vpc.Il.Expr.int_const 0 } } ]
+    | _ -> [ s ]
+  in
+  let drop_labels (s : Vpc.Il.Stmt.t) =
+    match s.desc with Label _ -> [] | _ -> [ s ]
+  in
+  let sum_loop =
+    {|int main() { int i, s; s = 0;
+        for (i = 0; i < 10; i++) s = s + i;
+        printf("%d\n", s); return s; }|}
+  in
+  let callee = "int f(int a) { return a + 1; } int main() { return f(1); }" in
+  let goto_fn = "int g() { goto out; out: return 1; }\n" in
+  [
+    c "oob-high" "int a[2]; int main() { return a[1 << 24]; }";
+    c "oob-low" "int a[2]; int main() { return a[-100]; }";
+    c "null-deref" "int main() { int *p; p = 0; return *p; }";
+    c "mem-top" "int main() { int *p; p = (int *)4194300; *p = 7; return *p; }";
+    c "mem-past-top" "int main() { int *p; p = (int *)4194301; *p = 7; return *p; }";
+    c "div-zero" "int main() { int z; z = 0; return 1 / z; }";
+    c "mod-zero" "int main() { int z; z = 0; return 1 % z; }";
+    c "printf-conversion" {|int main() { printf("%x\n", 1); return 0; }|};
+    c "uninit-double" "double main() { double x; return x; }";
+    c "uninit-double-neg" "double main() { double x; return -x; }";
+    c "max-steps" ~max_steps:1000 (read_file "../examples/quickstart.c");
+    interp_row "zero-step-do" (edited ~options:Vpc.o1 sum_loop "main" zero_step);
+    interp_row "wrong-arg-count"
+      (edited callee "main" (replace_call (fun tgt _ -> (tgt, []))));
+    interp_row "undefined-function"
+      (edited callee "main"
+         (replace_call (fun _ args -> (Vpc.Il.Stmt.Direct "nosuch", args))));
+    interp_row "undefined-label-uncalled"
+      (edited (goto_fn ^ {|int main() { printf("ok\n"); return 2; }|}) "g"
+         drop_labels);
+    interp_row "undefined-label-called"
+      (edited (goto_fn ^ "int main() { return g(); }") "g" drop_labels);
+  ]
+
+let golden () =
+  check_golden ~path:golden_path ~actual:"interp_golden.actual"
+    (program_rows () @ error_rows ())
+
 let tests =
   [
     Alcotest.test_case "arithmetic" `Quick arithmetic;
@@ -228,5 +414,8 @@ let tests =
     Alcotest.test_case "printf formats" `Quick printf_formats;
     Alcotest.test_case "timeout" `Quick infinite_loop_times_out;
     Alcotest.test_case "runtime errors" `Quick runtime_errors;
+    Alcotest.test_case "golden table" `Quick golden;
+    Alcotest.test_case "IEEE float comparisons" `Quick ieee_comparisons;
+    Alcotest.test_case "step budget boundary" `Quick step_budget_boundary;
     QCheck_alcotest.to_alcotest expr_prop;
   ]

@@ -394,7 +394,7 @@ let example_files () =
    every example; whenever one compile's log calls another plan
    equivalent, the two must print the same IL.  The fixture adds a
    transpose nest whose two loop orders tie under the interchange cost
-   model, so the resolver's tie handling is exercised too. *)
+   model: forced on or left alone, a tie keeps the identity order. *)
 let decision_logs_predict_il () =
   let equivalent = ref 0 in
   List.iter

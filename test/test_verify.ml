@@ -489,7 +489,20 @@ let cli_exit_codes () =
         (run_cli [ path; "-O"; "0"; "--check"; "-q" ]);
       Alcotest.(check int) "a wrong return value fails --check (exit 2)" 2
         (run_cli
-           [ path; "-O"; "0"; "--inject-fault=wrong-const"; "--check"; "-q" ]))
+           [ path; "-O"; "0"; "--inject-fault=wrong-const"; "--check"; "-q" ]));
+  (* NaN comparisons: the -O0 reference follows IEEE, as the simulator does *)
+  with_temp_c Test_interp.nan_scalar_src (fun path ->
+      List.iter
+        (fun level ->
+          Alcotest.(check int)
+            (Printf.sprintf "NaN comparisons check at -O%s (exit 0)" level)
+            0
+            (run_cli [ path; "-O"; level; "--check"; "-q" ]))
+        [ "0"; "3" ]);
+  (* the -O0 reference of lint_bugs.c never ends: running out of the
+     interpreter's step budget is a runtime error *)
+  Alcotest.(check int) "--check past the interpreter's step budget (exit 1)" 1
+    (run_cli [ "fixtures/lint_bugs.c"; "-O"; "1"; "--check"; "-q" ])
 
 (* A function whose exit no path reaches once compiled at every
    optimizing level (liveness used to assume a reachable exit). *)
